@@ -27,6 +27,14 @@
 //!   ones amortize contention. [`BatchPolicy::Fixed`] pins the PR 1
 //!   behaviour for baseline comparison.
 //!
+//! **The caller is worker 0.** A run spawns scoped threads only for
+//! workers `1..threads` and runs worker 0's loop on the calling thread, so
+//! a 1-worker search never leaves the caller and an n-worker search pays
+//! for n - 1 thread creations, not n. There is deliberately no pool: it
+//! would trade each spawn for waking a parked thread, and make every
+//! 1-worker call a hand-off and back where inline worker 0 has none
+//! (DESIGN.md §9 has the measurements).
+//!
 //! Idle threads park on a condition variable only after a failed steal
 //! sweep; a thread that leaves surplus work behind wakes exactly one
 //! parked sibling (`notify_one`), and `notify_all` is reserved for
@@ -49,8 +57,9 @@
 //! — discards its buffered outcomes (counted as `jobs_aborted`; a partial
 //! result must never reach the shared tree or table), marks the run done
 //! under a poison-tolerant lock, broadcasts the idle condvar so parked
-//! siblings wake, and returns its counters. The coordinator joins every
-//! thread (a panicked join contributes default counters) and returns
+//! siblings wake, and returns its counters. The caller runs worker 0 under
+//! `catch_unwind`, joins every spawned thread (a panic in worker 0 or a
+//! panicked join contributes default counters) and returns
 //! `Err(`[`SearchAborted`]`)` — no hang, no poisoned-mutex cascade.
 //!
 //! On a multi-core host this achieves real speedup; on any host it
@@ -66,7 +75,7 @@ use std::time::Instant;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::MetricsAccess;
-use problem_heap::{ws_deque, PublishSlab, ThreadCounters, WsStealer};
+use problem_heap::{ws_deque, PublishSlab, ThreadCounters, WsOwner, WsStealer};
 use trace::{EventKind, TraceAccess, Traced, Tracer, WorkerTrace};
 use tt::{TranspositionTable, TtAccess, TtStats, Zobrist};
 
@@ -150,32 +159,93 @@ impl PinPolicy {
     }
 }
 
+/// Thread-affinity calls. Linux-only: `sched_getaffinity(2)` and
+/// `sched_setaffinity(2)` through the libc symbols std already links (no
+/// new dependency).
+#[cfg(target_os = "linux")]
+mod affinity {
+    /// A fixed 1024-bit mask matches glibc's `cpu_set_t`; cores beyond
+    /// that are silently left unpinned (no such host exists in this
+    /// repo's test matrix).
+    pub type Mask = [u64; 16];
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+
+    /// The mask holding only logical CPU `core`.
+    pub fn single(core: usize) -> Mask {
+        let mut mask = [0u64; 16];
+        let bit = core % (64 * mask.len());
+        mask[bit / 64] = 1u64 << (bit % 64);
+        mask
+    }
+
+    /// The calling thread's mask (pid 0 = the calling thread).
+    pub fn get() -> Option<Mask> {
+        let mut mask = [0u64; 16];
+        let size = std::mem::size_of_val(&mask);
+        // SAFETY: the kernel writes at most `size` bytes into `mask`.
+        (unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } == 0).then_some(mask)
+    }
+
+    /// Sets the calling thread's mask; returns whether it took effect.
+    pub fn set(mask: &Mask) -> bool {
+        // SAFETY: the kernel reads `size_of_val(mask)` bytes from `mask`.
+        unsafe { sched_setaffinity(0, std::mem::size_of_val(mask), mask.as_ptr()) == 0 }
+    }
+}
+
+/// Portable fallback: thread pinning is not plumbed on this OS, and every
+/// call is a no-op.
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub type Mask = ();
+
+    pub fn single(_core: usize) -> Mask {}
+
+    pub fn get() -> Option<Mask> {
+        None
+    }
+
+    pub fn set(_mask: &Mask) -> bool {
+        false
+    }
+}
+
 /// Pins the calling thread to logical CPU `core`. Returns whether the
 /// request took effect.
 ///
-/// Linux-only: issues `sched_setaffinity(2)` through the raw syscall
-/// wrapper std already links (no new dependency). Everywhere else this is
-/// a documented no-op returning `false` — the search is correct unpinned,
-/// just more exposed to migration.
-#[cfg(target_os = "linux")]
+/// Linux-only; everywhere else this is a documented no-op returning
+/// `false` — the search is correct unpinned, just more exposed to
+/// migration.
 pub fn pin_current_thread(core: usize) -> bool {
-    // A fixed 1024-bit mask matches glibc's `cpu_set_t`; cores beyond
-    // that are silently left unpinned (no such host exists in this
-    // repo's test matrix).
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16];
-    let bit = core % (64 * mask.len());
-    mask[bit / 64] = 1u64 << (bit % 64);
-    // pid 0 = the calling thread.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
+    affinity::set(&affinity::single(core))
 }
 
-/// Portable fallback: thread pinning is not plumbed on this OS.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_core: usize) -> bool {
-    false
+/// A worker's pin for the length of its loop: pins on creation and puts
+/// back the CPU mask the thread had before on drop (unwinding included).
+/// Every worker restores, so one rule covers worker 0 — the caller's own
+/// thread, which a search must hand back as it found it.
+struct PinnedScope {
+    saved: Option<affinity::Mask>,
+}
+
+impl PinnedScope {
+    fn pin(core: usize) -> PinnedScope {
+        let saved = affinity::get();
+        pin_current_thread(core);
+        PinnedScope { saved }
+    }
+}
+
+impl Drop for PinnedScope {
+    fn drop(&mut self) {
+        if let Some(mask) = &self.saved {
+            affinity::set(mask);
+        }
+    }
 }
 
 /// Logical CPUs the pinning policies map onto.
@@ -196,7 +266,9 @@ pub struct ThreadsConfig {
     /// Optional CPU-affinity policy for the worker threads. `None` (the
     /// default) leaves placement to the OS scheduler; `Some` pins worker
     /// `i` to [`PinPolicy::core_for`]`(i, cores)` where supported (Linux)
-    /// and silently runs unpinned elsewhere.
+    /// and silently runs unpinned elsewhere. Every worker puts back its
+    /// thread's previous mask when its loop ends, so the caller — worker
+    /// 0 — leaves a pinned run with the mask it brought.
     pub pin: Option<PinPolicy>,
 }
 
@@ -223,7 +295,8 @@ pub struct ErThreadsResult {
     pub cached_leaf_hits: u64,
     /// Wall-clock duration of the search.
     pub elapsed: std::time::Duration,
-    /// Contention counters, one entry per thread.
+    /// Contention counters, one entry per worker (worker 0 first: the
+    /// calling thread).
     pub per_thread: Vec<ThreadCounters>,
     /// Transposition-table activity attributable to this run (the delta of
     /// the shared table's counters over the run), when a table was
@@ -262,8 +335,9 @@ fn expect_complete(r: Result<ErThreadsResult, SearchAborted>) -> ErThreadsResult
     r.unwrap_or_else(|e| panic!("threaded search aborted without a deadline: {e}"))
 }
 
-/// Runs parallel ER with `threads` OS threads and the default execution
-/// layer (adaptive batching, stealing on).
+/// Runs parallel ER with `threads` workers — the calling thread plus
+/// `threads - 1` spawned ones — and the default execution layer (adaptive
+/// batching, stealing on).
 pub fn run_er_threads<P: GamePosition>(
     pos: &P,
     depth: u32,
@@ -671,268 +745,271 @@ where
         stealers.push(s);
     }
 
+    let shared = &shared;
+    let idle = &idle;
+    let done_flag = &done_flag;
+    let arena = &arena;
+    let stealers: &[WsStealer<JobRef>] = &stealers;
+    // The worker loop every participant runs: worker 0 on the calling
+    // thread, workers 1.. on scoped threads spawned for this call.
+    let work = |me: usize, mut own: WsOwner<JobRef>| -> ThreadCounters {
+        // Best-effort: an unpinnable host (cgroup mask, non-Linux OS) just
+        // runs scheduler-placed. The guard puts the thread's previous mask
+        // back when the loop ends, which matters for worker 0: it is the
+        // caller's own thread.
+        let _pinned = pin_cores.map(|(policy, cores)| PinnedScope::pin(policy.core_for(me, cores)));
+        let _sentinel = PanicSentinel {
+            ctl,
+            shared,
+            idle,
+            done_flag,
+        };
+        let probe = CtlProbe::new(ctl);
+        // Per-worker recorder: `()` when tracing is off, so
+        // every recording call below compiles away and the
+        // loop is byte-identical to the untraced build.
+        let wtr = tr.worker(me);
+        let ttw = Traced::new(tt, &wtr);
+        let mut cx = WorkerCtx::<P> {
+            counters: ThreadCounters::default(),
+            ready: Vec::with_capacity(MAX_BATCH),
+            refill: Vec::with_capacity(DEQUE_CAP),
+            batch_target: fixed_batch,
+            steal_pass: steal_on,
+            scarce_streak: 0,
+        };
+        let aborting = 'rounds: loop {
+            // Poll the token before flushing outcomes: once it
+            // trips, nothing more may be applied to the tree.
+            if probe.check().is_some() {
+                break 'rounds true;
+            }
+            // ---- Locked phase: apply outcomes, refill, park.
+            let waiting = Instant::now();
+            let mut g = lock_shared(shared);
+            let waited = waiting.elapsed().as_nanos() as u64;
+            let holding = Instant::now();
+            cx.counters.lock_acquisitions += 1;
+            cx.counters.lock_wait_nanos += waited;
+            wtr.span_at(EventKind::LockWait, waiting, waited, 0);
+            mx.observe_lock_wait(me, waited);
+            for (id, outcome) in cx.ready.drain(..) {
+                cx.counters.outcomes_applied += 1;
+                if g.worker.apply(id, outcome) {
+                    g.done = true;
+                    done_flag.store(true, SeqCst);
+                }
+            }
+            loop {
+                if g.done {
+                    break;
+                }
+                cx.counters.select_batches += 1;
+                while cx.refill.len() < cx.batch_target {
+                    match g.worker.select() {
+                        Select::Job(job) => {
+                            if job.task.needs_pos()
+                                && arena.publish(job.id as usize, g.worker.node_pos_shared(job.id))
+                            {
+                                cx.counters.arena_publishes += 1;
+                            }
+                            cx.refill.push((job.id, job.task));
+                        }
+                        Select::JustFinished => {
+                            g.done = true;
+                            done_flag.store(true, SeqCst);
+                            break;
+                        }
+                        Select::Empty => break,
+                    }
+                }
+                if !cx.refill.is_empty() || g.done {
+                    break;
+                }
+                // Global queues are dry. Spend the steal pass —
+                // leave the lock and sweep sibling deques —
+                // before committing to a park.
+                if cx.steal_pass
+                    && stealers
+                        .iter()
+                        .enumerate()
+                        .any(|(j, s)| j != me && !s.is_empty())
+                {
+                    cx.steal_pass = false;
+                    break;
+                }
+                cx.counters.idle_parks += 1;
+                g.parked += 1;
+                let park_start = wtr.now_ns();
+                while !g.done && !g.worker.work_available() {
+                    // A poisoned wait still hands the guard
+                    // back; an aborting sibling has set `done`,
+                    // which the loop condition re-checks.
+                    g = idle.wait(g).unwrap_or_else(PoisonError::into_inner);
+                }
+                g.parked -= 1;
+                wtr.span(
+                    EventKind::Park,
+                    park_start,
+                    wtr.now_ns().saturating_sub(park_start),
+                    0,
+                );
+                wtr.instant(EventKind::Unpark, 0);
+                cx.steal_pass = steal_on;
+            }
+            if g.done {
+                // Termination is the one broadcast: every
+                // parked thread must observe `done`. Unexecuted
+                // deque jobs are simply abandoned (they were
+                // never counted as executed).
+                idle.notify_all();
+                let hold = holding.elapsed().as_nanos() as u64;
+                cx.counters.lock_hold_nanos += hold;
+                wtr.span_at(EventKind::LockHold, holding, hold, 0);
+                break 'rounds false;
+            }
+            // Targeted hand-off: if work remains after this
+            // refill and someone is parked, wake exactly one
+            // sibling; it chain-wakes the next if work remains.
+            if g.parked > 0 && g.worker.work_available() {
+                cx.counters.wakeups += 1;
+                idle.notify_one();
+            }
+            let refilled = cx.refill.len();
+            if R::ENABLED {
+                // Sampled once per refill, still under the lock
+                // (queue lengths are guarded state); recording
+                // itself stays in the private ring.
+                wtr.instant(EventKind::QueueDepth, g.worker.queue_len() as u32);
+            }
+            let hold = holding.elapsed().as_nanos() as u64;
+            cx.counters.lock_hold_nanos += hold;
+            wtr.span_at(EventKind::LockHold, holding, hold, refilled as u32);
+            drop(g);
+
+            // ---- Execute phase, entirely outside the lock.
+            // Reverse push so the owner pops in scheduler
+            // priority order while thieves take the oldest
+            // (lowest-priority) jobs from the far end.
+            for jr in cx.refill.drain(..).rev() {
+                own.push(jr).expect("deque capacity exceeds max batch");
+            }
+            let executing = Instant::now();
+            let mut executed_this_round = 0u64;
+            while let Some((id, task)) = own.pop() {
+                // A `false` return means the job produced no
+                // applicable outcome: the control tripped
+                // mid-job or the task panicked (already caught
+                // and converted into a trip).
+                if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
+                    break 'rounds true;
+                }
+                executed_this_round += 1;
+                if done_flag.load(SeqCst) {
+                    break;
+                }
+            }
+
+            // ---- Steal phase: drain siblings lock-free until
+            // the outcome buffer justifies an acquisition.
+            if steal_on && !done_flag.load(SeqCst) {
+                while cx.ready.len() < MAX_BATCH {
+                    let mut stolen = None;
+                    for off in 1..threads {
+                        let j = (me + off) % threads;
+                        cx.counters.steal_attempts += 1;
+                        wtr.instant(EventKind::StealAttempt, j as u32);
+                        if let Some(jr) = stealers[j].steal() {
+                            cx.counters.steal_hits += 1;
+                            wtr.instant(EventKind::StealHit, j as u32);
+                            stolen = Some(jr);
+                            break;
+                        }
+                    }
+                    let Some((id, task)) = stolen else { break };
+                    if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
+                        break 'rounds true;
+                    }
+                    executed_this_round += 1;
+                    if done_flag.load(SeqCst) {
+                        break;
+                    }
+                }
+            }
+            let execd = executing.elapsed().as_nanos() as u64;
+
+            // ---- Adapt the batch target for the next round.
+            if adaptive && executed_this_round > 0 {
+                if waited * 4 >= execd && cx.batch_target < MAX_BATCH {
+                    // Lock waits cost >= 25% of execution:
+                    // amortize harder.
+                    cx.batch_target = (cx.batch_target * 2).min(MAX_BATCH);
+                    cx.counters.batch_grows += 1;
+                    cx.scarce_streak = 0;
+                } else if refilled * 2 < cx.batch_target
+                    && waited * 16 < execd
+                    && cx.batch_target > 1
+                {
+                    // Queues are scarce and the lock is cheap:
+                    // smaller batches keep windows fresh. Demand
+                    // the signal twice in a row before paying
+                    // for it (see `scarce_streak`).
+                    cx.scarce_streak += 1;
+                    if cx.scarce_streak >= 2 {
+                        cx.batch_target /= 2;
+                        cx.counters.batch_shrinks += 1;
+                        cx.scarce_streak = 0;
+                    }
+                } else {
+                    cx.scarce_streak = 0;
+                }
+            }
+            if executed_this_round > 0 {
+                cx.steal_pass = steal_on;
+            }
+        };
+        if aborting {
+            // Abort protocol: discard everything local (a
+            // partial run's outcomes must not touch the tree),
+            // mark the run done under a poison-tolerant lock,
+            // and wake every parked sibling.
+            wtr.instant_now(
+                EventKind::AbortTrip,
+                ctl.reason().map(|r| r as u32).unwrap_or(0),
+            );
+            cx.counters.jobs_aborted += cx.ready.len() as u64;
+            cx.ready.clear();
+            while own.pop().is_some() {
+                cx.counters.jobs_aborted += 1;
+            }
+            done_flag.store(true, SeqCst);
+            let mut g = lock_shared(shared);
+            g.done = true;
+            drop(g);
+            idle.notify_all();
+        }
+        tr.submit(wtr);
+        cx.counters
+    };
+    let work = &work;
     let per_thread: Vec<ThreadCounters> = std::thread::scope(|scope| {
-        let shared = &shared;
-        let idle = &idle;
-        let done_flag = &done_flag;
-        let arena = &arena;
-        let stealers: &[WsStealer<JobRef>] = &stealers;
+        let mut owners = owners.into_iter();
+        let own0 = owners.next().expect("threads > 0");
         let handles: Vec<_> = owners
-            .into_iter()
             .enumerate()
-            .map(|(me, mut own)| {
-                scope.spawn(move || {
-                    if let Some((policy, cores)) = pin_cores {
-                        // Best-effort: an unpinnable host (cgroup mask,
-                        // non-Linux OS) just runs scheduler-placed.
-                        pin_current_thread(policy.core_for(me, cores));
-                    }
-                    let _sentinel = PanicSentinel {
-                        ctl,
-                        shared,
-                        idle,
-                        done_flag,
-                    };
-                    let probe = CtlProbe::new(ctl);
-                    // Per-worker recorder: `()` when tracing is off, so
-                    // every recording call below compiles away and the
-                    // loop is byte-identical to the untraced build.
-                    let wtr = tr.worker(me);
-                    let ttw = Traced::new(tt, &wtr);
-                    let mut cx = WorkerCtx::<P> {
-                        counters: ThreadCounters::default(),
-                        ready: Vec::with_capacity(MAX_BATCH),
-                        refill: Vec::with_capacity(DEQUE_CAP),
-                        batch_target: fixed_batch,
-                        steal_pass: steal_on,
-                        scarce_streak: 0,
-                    };
-                    let aborting = 'rounds: loop {
-                        // Poll the token before flushing outcomes: once it
-                        // trips, nothing more may be applied to the tree.
-                        if probe.check().is_some() {
-                            break 'rounds true;
-                        }
-                        // ---- Locked phase: apply outcomes, refill, park.
-                        let waiting = Instant::now();
-                        let mut g = lock_shared(shared);
-                        let waited = waiting.elapsed().as_nanos() as u64;
-                        let holding = Instant::now();
-                        cx.counters.lock_acquisitions += 1;
-                        cx.counters.lock_wait_nanos += waited;
-                        wtr.span_at(EventKind::LockWait, waiting, waited, 0);
-                        mx.observe_lock_wait(me, waited);
-                        for (id, outcome) in cx.ready.drain(..) {
-                            cx.counters.outcomes_applied += 1;
-                            if g.worker.apply(id, outcome) {
-                                g.done = true;
-                                done_flag.store(true, SeqCst);
-                            }
-                        }
-                        loop {
-                            if g.done {
-                                break;
-                            }
-                            cx.counters.select_batches += 1;
-                            while cx.refill.len() < cx.batch_target {
-                                match g.worker.select() {
-                                    Select::Job(job) => {
-                                        if job.task.needs_pos()
-                                            && arena.publish(
-                                                job.id as usize,
-                                                g.worker.node_pos_shared(job.id),
-                                            )
-                                        {
-                                            cx.counters.arena_publishes += 1;
-                                        }
-                                        cx.refill.push((job.id, job.task));
-                                    }
-                                    Select::JustFinished => {
-                                        g.done = true;
-                                        done_flag.store(true, SeqCst);
-                                        break;
-                                    }
-                                    Select::Empty => break,
-                                }
-                            }
-                            if !cx.refill.is_empty() || g.done {
-                                break;
-                            }
-                            // Global queues are dry. Spend the steal pass —
-                            // leave the lock and sweep sibling deques —
-                            // before committing to a park.
-                            if cx.steal_pass
-                                && stealers
-                                    .iter()
-                                    .enumerate()
-                                    .any(|(j, s)| j != me && !s.is_empty())
-                            {
-                                cx.steal_pass = false;
-                                break;
-                            }
-                            cx.counters.idle_parks += 1;
-                            g.parked += 1;
-                            let park_start = wtr.now_ns();
-                            while !g.done && !g.worker.work_available() {
-                                // A poisoned wait still hands the guard
-                                // back; an aborting sibling has set `done`,
-                                // which the loop condition re-checks.
-                                g = idle.wait(g).unwrap_or_else(PoisonError::into_inner);
-                            }
-                            g.parked -= 1;
-                            wtr.span(
-                                EventKind::Park,
-                                park_start,
-                                wtr.now_ns().saturating_sub(park_start),
-                                0,
-                            );
-                            wtr.instant(EventKind::Unpark, 0);
-                            cx.steal_pass = steal_on;
-                        }
-                        if g.done {
-                            // Termination is the one broadcast: every
-                            // parked thread must observe `done`. Unexecuted
-                            // deque jobs are simply abandoned (they were
-                            // never counted as executed).
-                            idle.notify_all();
-                            let hold = holding.elapsed().as_nanos() as u64;
-                            cx.counters.lock_hold_nanos += hold;
-                            wtr.span_at(EventKind::LockHold, holding, hold, 0);
-                            break 'rounds false;
-                        }
-                        // Targeted hand-off: if work remains after this
-                        // refill and someone is parked, wake exactly one
-                        // sibling; it chain-wakes the next if work remains.
-                        if g.parked > 0 && g.worker.work_available() {
-                            cx.counters.wakeups += 1;
-                            idle.notify_one();
-                        }
-                        let refilled = cx.refill.len();
-                        if R::ENABLED {
-                            // Sampled once per refill, still under the lock
-                            // (queue lengths are guarded state); recording
-                            // itself stays in the private ring.
-                            wtr.instant(EventKind::QueueDepth, g.worker.queue_len() as u32);
-                        }
-                        let hold = holding.elapsed().as_nanos() as u64;
-                        cx.counters.lock_hold_nanos += hold;
-                        wtr.span_at(EventKind::LockHold, holding, hold, refilled as u32);
-                        drop(g);
-
-                        // ---- Execute phase, entirely outside the lock.
-                        // Reverse push so the owner pops in scheduler
-                        // priority order while thieves take the oldest
-                        // (lowest-priority) jobs from the far end.
-                        for jr in cx.refill.drain(..).rev() {
-                            own.push(jr).expect("deque capacity exceeds max batch");
-                        }
-                        let executing = Instant::now();
-                        let mut executed_this_round = 0u64;
-                        while let Some((id, task)) = own.pop() {
-                            // A `false` return means the job produced no
-                            // applicable outcome: the control tripped
-                            // mid-job or the task panicked (already caught
-                            // and converted into a trip).
-                            if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
-                                break 'rounds true;
-                            }
-                            executed_this_round += 1;
-                            if done_flag.load(SeqCst) {
-                                break;
-                            }
-                        }
-
-                        // ---- Steal phase: drain siblings lock-free until
-                        // the outcome buffer justifies an acquisition.
-                        if steal_on && !done_flag.load(SeqCst) {
-                            while cx.ready.len() < MAX_BATCH {
-                                let mut stolen = None;
-                                for off in 1..threads {
-                                    let j = (me + off) % threads;
-                                    cx.counters.steal_attempts += 1;
-                                    wtr.instant(EventKind::StealAttempt, j as u32);
-                                    if let Some(jr) = stealers[j].steal() {
-                                        cx.counters.steal_hits += 1;
-                                        wtr.instant(EventKind::StealHit, j as u32);
-                                        stolen = Some(jr);
-                                        break;
-                                    }
-                                }
-                                let Some((id, task)) = stolen else { break };
-                                if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord)
-                                {
-                                    break 'rounds true;
-                                }
-                                executed_this_round += 1;
-                                if done_flag.load(SeqCst) {
-                                    break;
-                                }
-                            }
-                        }
-                        let execd = executing.elapsed().as_nanos() as u64;
-
-                        // ---- Adapt the batch target for the next round.
-                        if adaptive && executed_this_round > 0 {
-                            if waited * 4 >= execd && cx.batch_target < MAX_BATCH {
-                                // Lock waits cost >= 25% of execution:
-                                // amortize harder.
-                                cx.batch_target = (cx.batch_target * 2).min(MAX_BATCH);
-                                cx.counters.batch_grows += 1;
-                                cx.scarce_streak = 0;
-                            } else if refilled * 2 < cx.batch_target
-                                && waited * 16 < execd
-                                && cx.batch_target > 1
-                            {
-                                // Queues are scarce and the lock is cheap:
-                                // smaller batches keep windows fresh. Demand
-                                // the signal twice in a row before paying
-                                // for it (see `scarce_streak`).
-                                cx.scarce_streak += 1;
-                                if cx.scarce_streak >= 2 {
-                                    cx.batch_target /= 2;
-                                    cx.counters.batch_shrinks += 1;
-                                    cx.scarce_streak = 0;
-                                }
-                            } else {
-                                cx.scarce_streak = 0;
-                            }
-                        }
-                        if executed_this_round > 0 {
-                            cx.steal_pass = steal_on;
-                        }
-                    };
-                    if aborting {
-                        // Abort protocol: discard everything local (a
-                        // partial run's outcomes must not touch the tree),
-                        // mark the run done under a poison-tolerant lock,
-                        // and wake every parked sibling.
-                        wtr.instant_now(
-                            EventKind::AbortTrip,
-                            ctl.reason().map(|r| r as u32).unwrap_or(0),
-                        );
-                        cx.counters.jobs_aborted += cx.ready.len() as u64;
-                        cx.ready.clear();
-                        while own.pop().is_some() {
-                            cx.counters.jobs_aborted += 1;
-                        }
-                        done_flag.store(true, SeqCst);
-                        let mut g = lock_shared(shared);
-                        g.done = true;
-                        drop(g);
-                        idle.notify_all();
-                    }
-                    tr.submit(wtr);
-                    cx.counters
-                })
-            })
+            .map(|(i, own)| scope.spawn(move || work(i + 1, own)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
+        // The caller is worker 0, so a 1-worker search never leaves this
+        // thread. Its panics are caught exactly like a spawned worker's
+        // join error.
+        let first = catch_unwind(AssertUnwindSafe(|| work(0, own0)));
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .map(|r| {
                 // A worker that died panicking already tripped the token
-                // (sentinel guard); tolerate the join error and keep the
+                // (sentinel guard); tolerate the error and keep the
                 // remaining counters.
-                h.join().unwrap_or_else(|_| {
+                r.unwrap_or_else(|_| {
                     ctl.trip(AbortReason::WorkerPanicked);
                     ThreadCounters::default()
                 })
@@ -941,7 +1018,7 @@ where
     });
 
     let elapsed = start.elapsed();
-    let g = lock_shared(&shared);
+    let g = lock_shared(shared);
     // A run that completed its root wins any race with a late trip: the
     // value is exact, so report it.
     if let Some(value) = g.worker.root_value {
@@ -1258,6 +1335,30 @@ mod tests {
             let r = run_er_threads_exec(&root, 7, 4, &ErParallelConfig::random_tree(3), exec)
                 .expect("unlimited-control run cannot abort");
             assert_eq!(r.value, exact, "pin {pin:?}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pinned_run_leaves_the_callers_cpu_mask_alone() {
+        // Worker 0 runs on the calling thread and is pinned like any other
+        // worker; the caller must get its own mask back afterwards.
+        let root = RandomTreeSpec::new(21, 4, 6).root();
+        let before = affinity::get().expect("sched_getaffinity works on Linux");
+        for threads in [1usize, 2] {
+            for pin in [PinPolicy::Compact, PinPolicy::Scatter(2)] {
+                let exec = ThreadsConfig {
+                    pin: Some(pin),
+                    ..ThreadsConfig::default()
+                };
+                run_er_threads_exec(&root, 6, threads, &ErParallelConfig::random_tree(2), exec)
+                    .expect("unlimited-control run cannot abort");
+                assert_eq!(
+                    affinity::get(),
+                    Some(before),
+                    "{pin:?} at {threads} workers changed the caller's mask"
+                );
+            }
         }
     }
 }

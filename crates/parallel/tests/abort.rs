@@ -18,6 +18,7 @@ use er_parallel::{
 };
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value};
+use search_serial::OrderPolicy;
 use tt::TranspositionTable;
 
 /// Where the injected panic fires.
@@ -138,6 +139,23 @@ fn panic_with_zero_serial_depth_aborts_cleanly() {
     // `catch_unwind` in `run_job`) rather than the serial-frontier path.
     assert_clean_abort(4, PanicSite::Evaluate, 0);
     assert_clean_abort(4, PanicSite::Moves, 0);
+}
+
+#[test]
+fn caller_worker_panic_is_contained_and_the_caller_searches_on() {
+    // At one worker the whole search runs on the calling thread (it is
+    // worker 0), so every injected panic fires here. Each must come back
+    // as the same clean abort a panicked spawned worker gives, and this
+    // thread must then run a clean search to serial alpha-beta's value.
+    for site in [PanicSite::Evaluate, PanicSite::Moves] {
+        assert_clean_abort(1, site, 3);
+        assert_clean_abort(1, site, 0);
+    }
+    let cfg = ErParallelConfig::random_tree(3);
+    let clean = run_er_threads_exec(&big_tree().root(), 9, 1, &cfg, ThreadsConfig::default())
+        .expect("clean run after aborted runs");
+    let exact = search_serial::alphabeta(&big_tree().root(), 9, OrderPolicy::NATURAL).value;
+    assert_eq!(clean.value, exact);
 }
 
 #[test]

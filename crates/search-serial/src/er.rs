@@ -181,7 +181,7 @@ impl<P: GamePosition> ErNode<P> {
                         // children the tables know nothing about keep their
                         // natural order.
                         let ply = self.ply;
-                        kids.sort_by_key(|k| rank_key(ord, ply, k.nat));
+                        kids.sort_by_cached_key(|k| rank_key(ord, ply, k.nat));
                     }
                     // The hinted child goes first (it refuted this node
                     // before); a rotate keeps the rest in sorted order.

@@ -269,7 +269,7 @@ pub fn rank_children<P, O: OrdAccess>(kids: &mut [OrderedChild<P>], ply: u32, or
     if !O::ENABLED || kids.len() < 2 || kids[0].static_eval.is_some() {
         return;
     }
-    kids.sort_by_key(|k| rank_key(ord, ply, k.nat));
+    kids.sort_by_cached_key(|k| rank_key(ord, ply, k.nat));
 }
 
 /// The dynamic-ordering sort key of one child: killer rank first (0, 1, or

@@ -35,6 +35,7 @@
 
 mod access;
 mod table;
+mod zeroed;
 mod zobrist;
 
 pub use access::TtAccess;

@@ -6,6 +6,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use gametree::{Value, Window};
 use problem_heap::CachePadded;
 
+use crate::zeroed::ZeroedSlice;
+
 /// Result classification of a stored search (the usual alpha-beta bound
 /// semantics): the searched value was exact, a lower bound (the search
 /// failed high: value ≥ β), or an upper bound (failed low: value ≤ α).
@@ -109,7 +111,8 @@ impl Probe {
 /// recomputes `key ^ data` and compares against its own hash; any torn
 /// combination of an old key with a new data word (or vice versa) fails
 /// the comparison, so no locking is needed (Hyatt's lockless hashing).
-#[derive(Default)]
+/// All-zero is the empty slot (bound tag 0), so a zero-filled bucket array
+/// is an empty table.
 struct Slot {
     key: AtomicU64,
     data: AtomicU64,
@@ -120,7 +123,6 @@ const WAYS: usize = 4;
 /// A 4-way set-associative bucket: exactly one 64-byte cache line, and
 /// `#[repr(align(64))]` so the allocator can never straddle a bucket
 /// across two lines — one probe touches one line, period.
-#[derive(Default)]
 #[repr(align(64))]
 struct Bucket {
     slots: [Slot; WAYS],
@@ -209,18 +211,20 @@ impl TtStats {
 
 /// A sharded, lock-free concurrent transposition table.
 ///
-/// The entry array is split into up to 64 shards, each its own boxed
-/// bucket slice: shard selection uses the *high* hash bits and bucket
-/// selection the *low* bits, so consecutive probes of unrelated positions
-/// land in independent allocations. Entries themselves are wait-free
+/// The entry array is split into up to 64 logical shards, contiguous
+/// ranges of one zero-filled bucket array (its own anonymous mapping on
+/// Linux; see [`ZeroedSlice`]): shard selection uses the *high* hash bits
+/// and bucket selection the *low* bits, so consecutive probes of unrelated
+/// positions land in independent ranges. Entries themselves are wait-free
 /// atomics (see [`Slot`]); the shards stripe memory, not locks — there is
 /// nothing to lock.
 pub struct TranspositionTable {
-    shards: Vec<Box<[Bucket]>>,
-    /// `log2(shards.len())`.
+    /// Shard `s` is `buckets[s << bucket_bits..][..1 << bucket_bits]`.
+    buckets: ZeroedSlice<Bucket>,
+    /// `log2(shard count)`.
     shard_bits: u32,
-    /// `buckets per shard - 1` (buckets per shard is a power of two).
-    bucket_mask: u64,
+    /// `log2(buckets per shard)`.
+    bucket_bits: u32,
     /// Current search generation (mod 64); see [`Self::new_search`].
     generation: AtomicU8,
     /// Total [`Self::new_generation`] calls since construction — the
@@ -244,18 +248,11 @@ impl TranspositionTable {
         let buckets = 1usize << (bits - 2); // 4 entries per bucket
         let shard_count = buckets.min(64);
         let buckets_per_shard = buckets / shard_count;
-        let shards = (0..shard_count)
-            .map(|_| {
-                (0..buckets_per_shard)
-                    .map(|_| Bucket::default())
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice()
-            })
-            .collect();
         TranspositionTable {
-            shards,
+            // SAFETY: an all-zero `Bucket` is four empty slots of atomics.
+            buckets: unsafe { ZeroedSlice::new(buckets) },
             shard_bits: shard_count.trailing_zeros(),
-            bucket_mask: buckets_per_shard as u64 - 1,
+            bucket_bits: buckets_per_shard.trailing_zeros(),
             generation: AtomicU8::new(0),
             epoch: AtomicU64::new(0),
             counters: Default::default(),
@@ -269,12 +266,12 @@ impl TranspositionTable {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.shards.len() * (self.bucket_mask as usize + 1) * WAYS
+        self.buckets.len() * WAYS
     }
 
-    /// Number of independent shard allocations backing the table.
+    /// Number of logical shards the bucket array is split into.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        1 << self.shard_bits
     }
 
     /// Sampled fill rate in `[0, 1]`: the live-slot fraction over up to
@@ -287,15 +284,13 @@ impl TranspositionTable {
     /// the metric's value; `n = 1024` keeps the cost at a few microseconds
     /// with a worst-case sampling error a fill-rate gauge can absorb.
     pub fn occupancy_sample(&self, n: usize) -> f64 {
-        let buckets_per_shard = self.bucket_mask as usize + 1;
-        let total_buckets = self.shards.len() * buckets_per_shard;
+        let total_buckets = self.buckets.len();
         let sample = n.clamp(1, total_buckets);
         // Fixed-point stride walk hits `sample` distinct buckets spread
         // over the full [0, total_buckets) range, shards included.
         let mut filled = 0usize;
         for i in 0..sample {
-            let g = i * total_buckets / sample;
-            let bucket = &self.shards[g / buckets_per_shard][g % buckets_per_shard];
+            let bucket = &self.buckets[i * total_buckets / sample];
             for slot in &bucket.slots {
                 if unpack_bound(slot.data.load(Relaxed)).is_some() {
                     filled += 1;
@@ -306,8 +301,9 @@ impl TranspositionTable {
     }
 
     /// The shard `hash` maps to — the memory-placement side of the
-    /// topology story: on a NUMA machine, first-touching a shard from the
-    /// worker whose home range contains it keeps that allocation local.
+    /// topology story: the bucket array's pages are first touched by the
+    /// worker that first stores into them, so on a NUMA machine a worker
+    /// that stores into its home range keeps those pages local.
     #[inline]
     pub fn shard_of(&self, hash: u64) -> usize {
         if self.shard_bits == 0 {
@@ -325,7 +321,7 @@ impl TranspositionTable {
     pub fn home_shards(&self, worker: usize, workers: usize) -> std::ops::Range<usize> {
         let workers = workers.max(1);
         let worker = worker.min(workers - 1);
-        let n = self.shards.len();
+        let n = self.shard_count();
         let base = n / workers;
         let extra = n % workers;
         let start = worker * base + worker.min(extra);
@@ -378,18 +374,16 @@ impl TranspositionTable {
     fn demote_generation(&self, next: u8) {
         let demoted = u64::from((next + 1) & 63);
         const GEN_MASK: u64 = 63 << 56;
-        for shard in &self.shards {
-            for bucket in shard.iter() {
-                for slot in &bucket.slots {
-                    let key = slot.key.load(Relaxed);
-                    let data = slot.data.load(Relaxed);
-                    if unpack_bound(data).is_none() || unpack_generation(data) != next {
-                        continue;
-                    }
-                    let new_data = (data & !GEN_MASK) | (demoted << 56);
-                    slot.data.store(new_data, Relaxed);
-                    slot.key.store(key ^ data ^ new_data, Relaxed);
+        for bucket in self.buckets.iter() {
+            for slot in &bucket.slots {
+                let key = slot.key.load(Relaxed);
+                let data = slot.data.load(Relaxed);
+                if unpack_bound(data).is_none() || unpack_generation(data) != next {
+                    continue;
                 }
+                let new_data = (data & !GEN_MASK) | (demoted << 56);
+                slot.data.store(new_data, Relaxed);
+                slot.key.store(key ^ data ^ new_data, Relaxed);
             }
         }
     }
@@ -425,12 +419,8 @@ impl TranspositionTable {
     fn bucket(&self, hash: u64) -> &Bucket {
         // High bits pick the shard, low bits the bucket within it, so the
         // two indices never alias even for tiny tables.
-        let shard = if self.shard_bits == 0 {
-            0
-        } else {
-            (hash >> (64 - self.shard_bits)) as usize
-        };
-        &self.shards[shard][(hash & self.bucket_mask) as usize]
+        let within = hash as usize & ((1 << self.bucket_bits) - 1);
+        &self.buckets[(self.shard_of(hash) << self.bucket_bits) | within]
     }
 
     /// Looks up `hash`, returning the decoded entry if any slot of its
@@ -550,7 +540,7 @@ impl std::fmt::Debug for TranspositionTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TranspositionTable")
             .field("capacity", &self.capacity())
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count())
             .field("generation", &self.generation.load(Relaxed))
             .field("stats", &self.stats())
             .finish()
@@ -835,6 +825,62 @@ mod tests {
         assert_eq!(TranspositionTable::with_bits(10).capacity(), 1024);
         // Clamped below 2.
         assert_eq!(TranspositionTable::with_bits(0).capacity(), 4);
+        for bits in 2..=22u32 {
+            let t = TranspositionTable::with_bits(bits);
+            let buckets = 1usize << (bits - 2);
+            assert_eq!(t.capacity(), 1 << bits, "bits {bits}");
+            assert_eq!(t.shard_count(), buckets.min(64), "bits {bits}");
+        }
+    }
+
+    #[test]
+    fn fresh_table_is_empty_everywhere() {
+        for bits in [2u32, 7, 12, 16, DEFAULT_BITS] {
+            let t = TranspositionTable::with_bits(bits);
+            assert_eq!(t.occupancy_sample(usize::MAX), 0.0, "bits {bits}");
+        }
+    }
+
+    /// A `/proc/self/status` field in kB.
+    #[cfg(target_os = "linux")]
+    fn proc_status_kb(field: &str) -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status
+            .lines()
+            .find(|l| l.starts_with(field))
+            .expect("field present");
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn create_drop_cycles_return_their_memory() {
+        // Each table is a fresh mapping; dropping it must hand back both
+        // the address range and every page a store touched. A leaked
+        // 2^20-entry table would add 16 MiB of address space per cycle and
+        // the pages of its 64 stores to the resident set.
+        let cycle = || {
+            let t = TranspositionTable::with_bits(DEFAULT_BITS);
+            for s in 0..64u64 {
+                t.store((s << 58) | s, 1, Value::ZERO, Bound::Exact, None);
+            }
+            assert!(t.probe(63 << 58 | 63).is_some());
+        };
+        cycle();
+        let (rss, size) = (proc_status_kb("VmRSS:"), proc_status_kb("VmSize:"));
+        for _ in 0..1000 {
+            cycle();
+        }
+        let (rss_after, size_after) = (proc_status_kb("VmRSS:"), proc_status_kb("VmSize:"));
+        // Slack for sibling tests running in the same process.
+        assert!(
+            rss_after < rss + 16 * 1024,
+            "VmRSS grew {rss} -> {rss_after} kB"
+        );
+        assert!(
+            size_after < size + 1024 * 1024,
+            "VmSize grew {size} -> {size_after} kB"
+        );
     }
 
     #[test]
@@ -905,11 +951,11 @@ mod sizes {
     fn bucket_is_exactly_one_aligned_cache_line() {
         assert_eq!(size_of::<Bucket>(), 64);
         assert_eq!(align_of::<Bucket>(), 64);
-        // And the allocation respects it: every bucket of a live table
+        // And the mapping respects it: every bucket of a live table
         // starts on a line boundary.
-        let tt = TranspositionTable::with_bits(6);
-        for shard in &tt.shards {
-            for bucket in shard.iter() {
+        for bits in [2, 6, 16] {
+            let tt = TranspositionTable::with_bits(bits);
+            for bucket in tt.buckets.iter() {
                 assert_eq!(bucket as *const Bucket as usize % 64, 0);
             }
         }
