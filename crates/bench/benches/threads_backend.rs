@@ -1,11 +1,11 @@
-//! Criterion benchmark of the threaded back-end's batched locking: R1 at
-//! batch sizes 1 and 8, on 1 and 4 threads. Alongside the timing, the
-//! contention counters are asserted so a regression in the decomposed-lock
-//! design fails the bench rather than silently shifting the numbers.
+//! Criterion benchmark of the threaded back-end's one-job lock rounds: R1
+//! on 1 and 2 workers. Alongside the timing, the lock accounting is
+//! asserted exactly so a regression in the round structure fails the
+//! bench rather than silently shifting the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_bench::trees::random_trees;
-use er_parallel::{run_er_threads_with, ErParallelConfig, ErThreadsResult, Speculation};
+use er_parallel::{run_er_sim, run_er_threads, ErParallelConfig, ErThreadsResult, Speculation};
 use problem_heap::CostModel;
 use search_serial::SelectivityConfig;
 use std::hint::black_box;
@@ -21,24 +21,23 @@ fn r1_config() -> ErParallelConfig {
     }
 }
 
-/// Runs R1 once and checks the counter invariants of the batched design.
-fn checked_run(threads: usize, batch: usize) -> ErThreadsResult {
+/// Runs R1 once and checks the counter invariants of the round design.
+fn checked_run(threads: usize) -> ErThreadsResult {
     let r1 = &random_trees()[0];
-    let r = run_er_threads_with(&r1.root, r1.depth, threads, batch, &r1_config());
+    let r = run_er_threads(&r1.root, r1.depth, threads, &r1_config());
     let c = r.counters();
     assert_eq!(
         c.jobs_executed, c.outcomes_applied,
         "every executed job must be applied exactly once"
     );
-    // Fused select+apply must undercut the seed's two acquisitions per job.
-    // Besides productive rounds (at most one per job) and parks, the
-    // work-stealing layer adds at most one failed steal-pass round per
-    // productive round or park (the pass is granted once per each), hence
-    // the factor two.
-    assert!(
-        c.lock_acquisitions <= 2 * (c.jobs_executed + c.idle_parks + threads as u64 + 1),
-        "acquisitions ({}) exceed the steal-pass round bound (jobs {}, parks {})",
+    // One acquisition applies the last outcome and selects the next job;
+    // each worker's final acquisition finds the run done. Parks wait
+    // inside an acquisition and add none.
+    assert_eq!(
         c.lock_acquisitions,
+        c.jobs_executed + threads as u64,
+        "acquisitions must be one per job plus one exit round per worker \
+         (jobs {}, parks {})",
         c.jobs_executed,
         c.idle_parks
     );
@@ -50,32 +49,27 @@ fn checked_run(threads: usize, batch: usize) -> ErThreadsResult {
     r
 }
 
-fn bench_batch_sizes(c: &mut Criterion) {
-    // Batch amortization is visible in acquisition counts even before
-    // timing: check once per (threads, batch) point, outside the timed loop.
-    for &threads in &[1usize, 4] {
-        let b1 = checked_run(threads, 1).counters();
-        let b8 = checked_run(threads, 8).counters();
-        assert!(
-            b8.lock_acquisitions < b1.lock_acquisitions,
-            "{threads} threads: batch=8 must need fewer acquisitions than \
-             batch=1 ({} vs {})",
-            b8.lock_acquisitions,
-            b1.lock_acquisitions
-        );
-    }
-    let mut g = c.benchmark_group("er_threads_r1_batch");
+fn bench_worker_counts(c: &mut Criterion) {
+    // One worker is the 1-processor simulator's schedule: check it once,
+    // outside the timed loop.
+    let r1 = &random_trees()[0];
+    let sim = run_er_sim(&r1.root, r1.depth, 1, &r1_config());
+    assert_eq!(
+        checked_run(1).stats,
+        sim.stats,
+        "one worker must examine exactly the simulator's nodes"
+    );
+    checked_run(2);
+    let mut g = c.benchmark_group("er_threads_r1_workers");
     g.sample_size(10);
-    for &threads in &[1usize, 4] {
-        for &batch in &[1usize, 8] {
-            let id = BenchmarkId::new(&format!("t{threads}"), format!("b{batch}"));
-            g.bench_with_input(id, &(threads, batch), |bench, &(t, b)| {
-                bench.iter(|| black_box(checked_run(black_box(t), black_box(b))))
-            });
-        }
+    for &threads in &[1usize, 2] {
+        let id = BenchmarkId::new("workers", threads);
+        g.bench_with_input(id, &threads, |bench, &t| {
+            bench.iter(|| black_box(checked_run(black_box(t))))
+        });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_batch_sizes);
+criterion_group!(benches, bench_worker_counts);
 criterion_main!(benches);

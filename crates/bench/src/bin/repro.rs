@@ -14,16 +14,16 @@
 //!                   grid on O1 with its timing-free asserts (accepts
 //!                   --threads 1,4,16; writes BENCH_ordering.json at
 //!                   the repo root and results/ordering_chrome.json)
-//! repro threads     real-thread back-end: contention counters and
-//!                   memoized-evaluation savings (writes
-//!                   BENCH_threads.json at the repo root)
+//! repro threads     real-thread back-end: lock accounting, nodes
+//!                   against the simulator, and memoized-evaluation
+//!                   savings (writes BENCH_threads.json at the repo
+//!                   root)
 //! repro tt          shared transposition table on/off across worker
 //!                   counts (accepts --tt-bits N; writes BENCH_tt.json
 //!                   at the repo root)
-//! repro scaling     work-stealing execution layer vs the fixed-batch
-//!                   baseline across thread counts (accepts
-//!                   --threads 1,2,4,8; writes BENCH_scaling.json at
-//!                   the repo root)
+//! repro scaling     threaded back-end against the simulator across
+//!                   thread counts (accepts --threads 1,2,4,8; writes
+//!                   BENCH_scaling.json at the repo root)
 //! repro deadline    abort-safe search control: anytime iterative
 //!                   deepening under shrinking wall-clock budgets, plus
 //!                   full-budget equality vs the fixed-depth back-end
@@ -572,16 +572,17 @@ impl er_bench::json::ToJson for OrderingReport {
 fn threads() {
     use er_bench::experiments::threads_rows;
     er_bench::cli::Cli::from_env("threads").finish();
-    println!("\n=== Threaded back-end: contention and memoization (R1, O1) ===");
+    println!("\n=== Threaded back-end: lock accounting and memoization (R1, O1) ===");
     let rows = threads_rows();
     println!(
-        "{:<5} {:>5} {:>6} {:>7} {:>5} {:>8} {:>7} {:>7} {:>7} {:>9} {:>8} {:>6} {:>8}",
+        "{:<5} {:>5} {:>6} {:>7} {:>8} {:>8} {:>7} {:>7} {:>7} {:>7} {:>9} {:>6} {:>6} {:>8}",
         "tree",
         "depth",
         "sdepth",
         "threads",
-        "batch",
         "nodes",
+        "simnodes",
+        "vs sim",
         "evals",
         "cached",
         "locks",
@@ -592,38 +593,31 @@ fn threads() {
     );
     for r in &rows {
         println!(
-            "{:<5} {:>5} {:>6} {:>7} {:>5} {:>8} {:>7} {:>7} {:>7} {:>9} {:>7.1}x {:>6} {:>8.1}",
+            "{:<5} {:>5} {:>6} {:>7} {:>8} {:>8} {:>6.3}x {:>7} {:>7} {:>7} {:>9} {:>5.2}x {:>6} {:>8.1}{}",
             r.tree,
             r.depth,
             r.serial_depth,
             r.threads,
-            r.batch,
             r.nodes,
+            r.sim_nodes,
+            r.nodes_over_sim,
             r.eval_calls,
             r.cached_leaf_hits,
             r.lock_acquisitions,
             r.seed_acquisitions,
             r.acquisition_ratio,
             r.idle_parks,
-            r.elapsed_ms
+            r.elapsed_ms,
+            if r.oversubscribed { "  (oversubscribed)" } else { "" }
         );
     }
-    // The issue's acceptance bar: R1 at 4 threads with the default batch
-    // must need at most half the acquisitions of the seed's
-    // lock-per-select + lock-per-apply design, and the memoized O1 run
-    // must make strictly fewer evaluator calls than the seed would.
-    let r1 = rows
-        .iter()
-        .find(|r| r.tree == "R1" && r.threads == 4 && r.batch == 8)
-        .expect("R1 4-thread batch-8 row");
-    assert!(
-        r1.acquisition_ratio >= 2.0,
-        "R1@4 threads: expected >=2x acquisition drop, got {:.2}x",
-        r1.acquisition_ratio
-    );
+    // Every row's value, lock accounting and clone count, and every
+    // 1-thread row's node count, are asserted exactly inside
+    // `threads_rows` itself. The memoized O1 run must make strictly fewer
+    // evaluator calls than the seed would.
     let o1 = rows
         .iter()
-        .find(|r| r.tree == "O1" && r.serial_depth == 0 && r.threads == 4 && r.batch == 8)
+        .find(|r| r.tree == "O1" && r.serial_depth == 0 && r.threads == 2)
         .expect("O1 memo row");
     assert!(
         o1.eval_calls < o1.seed_eval_calls,
@@ -632,10 +626,11 @@ fn threads() {
         o1.seed_eval_calls
     );
     println!(
-        "\nR1 @ 4 threads, batch 8: {:.1}x fewer lock acquisitions than the \
-         seed back-end; O1 (fully parallel leaves): {} of {} evaluator calls \
-         served from memoized sorting probes.",
-        r1.acquisition_ratio, o1.cached_leaf_hits, o1.seed_eval_calls
+        "\nEvery row: one lock acquisition per job plus one per thread; every \
+         1-thread row examines exactly the simulator's nodes. O1 (fully \
+         parallel leaves, 2 threads): {} of {} evaluator calls served from \
+         memoized sorting probes.",
+        o1.cached_leaf_hits, o1.seed_eval_calls
     );
     save_json("threads", &rows);
     let mut f = fs::File::create("BENCH_threads.json").expect("create BENCH_threads.json");
@@ -768,87 +763,59 @@ fn tt() {
 }
 
 fn scaling() {
-    use er_bench::experiments::{scaling_rows, ScalingRow};
+    use er_bench::experiments::scaling_rows;
     let mut cli = er_bench::cli::Cli::from_env("scaling");
     let threads = cli.threads_list(&[1, 2, 4, 8]);
     cli.finish();
     println!(
-        "\n=== Scaling: work-stealing layer vs baseline (R1, O1; threads {threads:?}) ===\n\
-         (baseline = fixed batch, no stealing, every job through the heap mutex;\n\
-          ws = per-worker deques + stealing + adaptive batch + position arena;\n\
-          counters summed over {} reps per row to damp scheduling noise)",
+        "\n=== Scaling: threaded back-end vs the simulator (R1, O1; threads {threads:?}) ===\n\
+         (one job per lock round; simnodes = the deterministic simulator at the\n\
+          same worker count; counters summed over {} reps per row to damp\n\
+          scheduling noise)",
         er_bench::experiments::SCALING_REPS
     );
     let rows = scaling_rows(&threads);
     println!(
-        "{:<5} {:>7} {:<9} {:>8} {:>9} {:>8} {:>7} {:>9} {:>10} {:>6} {:>8}",
+        "{:<5} {:>7} {:>9} {:>9} {:>7} {:>8} {:>9} {:>8} {:>10} {:>8}",
         "tree",
         "threads",
-        "mode",
+        "nodes",
+        "simnodes",
+        "vs sim",
         "jobs",
         "locks",
         "acq/job",
-        "steals",
-        "stealhits",
         "wait ns",
-        "+/-",
         "ms"
     );
     for r in &rows {
         println!(
-            "{:<5} {:>7} {:<9} {:>8} {:>9} {:>8.3} {:>7} {:>9} {:>10.0} {:>6} {:>8.1}",
+            "{:<5} {:>7} {:>9} {:>9} {:>6.3}x {:>8} {:>9} {:>8.3} {:>10.0} {:>8.1}{}",
             r.tree,
             r.threads,
-            r.mode,
+            r.nodes,
+            r.sim_nodes,
+            r.nodes_over_sim,
             r.jobs_executed,
             r.lock_acquisitions,
             r.acq_per_job,
-            r.steal_attempts,
-            r.steal_hits,
             r.mean_lock_wait_nanos,
-            format!("{}/{}", r.batch_grows, r.batch_shrinks),
-            r.elapsed_ms
+            r.elapsed_ms,
+            if r.oversubscribed {
+                "  (oversubscribed)"
+            } else {
+                ""
+            }
         );
     }
-    // The issue's acceptance bar, judged over the >=4-thread rows (a
-    // single steal is scheduling luck; an aggregate of zero across every
-    // contended run means the layer is dead). Per-row root values and the
-    // zero-clones-under-the-lock invariant are asserted inside
+    // Every rep's root value, clone count and lock accounting, and every
+    // 1-thread rep's node count, are asserted exactly inside
     // `scaling_rows` itself.
-    if threads.iter().any(|&t| t >= 4) {
-        let hits: u64 = rows
-            .iter()
-            .filter(|r| r.mode == "ws" && r.threads >= 4)
-            .map(|r| r.steal_hits)
-            .sum();
-        assert!(
-            hits > 0,
-            "work stealing landed zero jobs across all >=4-thread runs"
-        );
-        let agg = |mode: &str, tree: &str| {
-            let picked: Vec<&ScalingRow> = rows
-                .iter()
-                .filter(|r| r.mode == mode && r.tree == tree && r.threads >= 4)
-                .collect();
-            let acq: u64 = picked.iter().map(|r| r.lock_acquisitions).sum();
-            let jobs: u64 = picked.iter().map(|r| r.jobs_executed).sum();
-            acq as f64 / jobs.max(1) as f64
-        };
-        for tree in ["R1", "O1"] {
-            let base = agg("baseline", tree);
-            let ws = agg("ws", tree);
-            assert!(
-                ws < base,
-                "{tree}: ws layer must need fewer locks per job than the \
-                 baseline at >=4 threads ({ws:.3} vs {base:.3})"
-            );
-            println!(
-                "{tree} @ >=4 threads: {ws:.3} locks/job with work stealing vs \
-                 {base:.3} baseline ({:.1}% fewer acquisitions per job)",
-                100.0 * (1.0 - ws / base)
-            );
-        }
-    }
+    println!(
+        "\nEvery row: value = alpha-beta, zero clones under the lock, one lock \
+         acquisition per job plus one per thread; every 1-thread row examines \
+         exactly the simulator's nodes."
+    );
     save_json("scaling", &rows);
     let mut f = fs::File::create("BENCH_scaling.json").expect("create BENCH_scaling.json");
     f.write_all(er_bench::json::to_pretty(&rows).as_bytes())
@@ -966,7 +933,7 @@ fn trace() {
     println!("\n=== Search telemetry: traced R1 runs (threads {threads:?}) ===");
     let rows = trace_rows(&threads);
     println!(
-        "{:<5} {:>7} {:>9} {:>8} {:>8} {:>6} {:>6} {:>10} {:>7} {:>9} {:>6} {:>8}",
+        "{:<5} {:>7} {:>9} {:>8} {:>8} {:>6} {:>6} {:>10} {:>6} {:>6} {:>8}",
         "tree",
         "threads",
         "events",
@@ -975,14 +942,13 @@ fn trace() {
         "busy%",
         "park%",
         "lockwait",
-        "steals",
-        "stealhits",
+        "parks",
         "qmax",
         "ms"
     );
     for r in &rows {
         println!(
-            "{:<5} {:>7} {:>9} {:>8} {:>8} {:>5.1}% {:>5.1}% {:>8.0}ns {:>7} {:>9} {:>6} {:>8.1}",
+            "{:<5} {:>7} {:>9} {:>8} {:>8} {:>5.1}% {:>5.1}% {:>8.0}ns {:>6} {:>6} {:>8.1}",
             r.tree,
             r.threads,
             r.events,
@@ -991,8 +957,7 @@ fn trace() {
             100.0 * r.busy_fraction,
             100.0 * r.park_fraction,
             r.mean_lock_wait_ns,
-            r.steal_attempts,
-            r.steal_hits,
+            r.parks,
             r.queue_depth_max,
             r.elapsed_ms
         );
@@ -1271,7 +1236,6 @@ fn mech() {
         // The same run pinned: placement must never change the value.
         let pinned = er_parallel::ThreadsConfig {
             pin: Some(er_parallel::PinPolicy::Compact),
-            ..er_parallel::ThreadsConfig::default()
         };
         let rp = er_parallel::run_er_threads_ctl(
             &o1.root,

@@ -762,9 +762,16 @@ pub fn dyn_ordering_rows(worker_counts: &[usize]) -> Vec<DynOrderingRow> {
     rows
 }
 
+/// Logical CPUs of this host; a threaded row with more workers than this
+/// is oversubscribed (its wall-clock figures measure time slicing, not
+/// parallel speedup).
+fn logical_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// One threaded back-end measurement: a tree searched with real OS
-/// threads at a given (threads, batch) setting, with the contention
-/// counters that justify the decomposed-lock design.
+/// threads, with the contention counters of the one-job-per-round design
+/// and the simulator's node count at the same worker count.
 #[derive(Clone, Debug)]
 pub struct ThreadsRow {
     /// Table 3 tree name.
@@ -776,12 +783,20 @@ pub struct ThreadsRow {
     pub serial_depth: u32,
     /// OS threads used.
     pub threads: usize,
-    /// Jobs taken per lock acquisition.
-    pub batch: usize,
+    /// More threads than this host has logical CPUs.
+    pub oversubscribed: bool,
     /// Root value (asserted equal to serial alpha-beta before recording).
     pub value: i32,
-    /// Nodes examined (may vary with thread scheduling; the value never).
+    /// Nodes examined (equal to `sim_nodes` at one thread, asserted before
+    /// recording; above that it varies with thread scheduling, the value
+    /// never).
     pub nodes: u64,
+    /// Nodes the deterministic simulator examines at the same worker
+    /// count.
+    pub sim_nodes: u64,
+    /// `nodes / sim_nodes`: threaded speculative loss relative to the
+    /// simulated machine.
+    pub nodes_over_sim: f64,
     /// Static-evaluator calls actually made.
     pub eval_calls: u64,
     /// Leaves settled from memoized sorting probes — evaluator calls the
@@ -790,10 +805,9 @@ pub struct ThreadsRow {
     /// Evaluator calls the seed back-end would have made for the same heap
     /// jobs: every cached-leaf hit re-charged.
     pub seed_eval_calls: u64,
-    /// Mutex acquisitions across all threads.
+    /// Mutex acquisitions across all threads: exactly one per job plus
+    /// one exit round per thread (asserted before recording).
     pub lock_acquisitions: u64,
-    /// Selection batches refilled.
-    pub select_batches: u64,
     /// Jobs executed outside the lock.
     pub jobs_executed: u64,
     /// Targeted `notify_one` wake-ups issued.
@@ -803,7 +817,8 @@ pub struct ThreadsRow {
     /// Acquisitions the seed design (lock per select + lock per apply)
     /// would have needed for the same jobs: `2 * jobs_executed`.
     pub seed_acquisitions: u64,
-    /// `seed_acquisitions / lock_acquisitions` — the contention reduction.
+    /// `seed_acquisitions / lock_acquisitions` — the saving of fusing
+    /// apply and select into one acquisition.
     pub acquisition_ratio: f64,
     /// Wall-clock milliseconds.
     pub elapsed_ms: f64,
@@ -816,9 +831,7 @@ fn threads_row<P: GamePosition>(
     serial_depth: u32,
     order: OrderPolicy,
     threads: usize,
-    batch: usize,
 ) -> ThreadsRow {
-    use er_parallel::run_er_threads_with;
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -826,27 +839,45 @@ fn threads_row<P: GamePosition>(
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
-    let r = run_er_threads_with(root, depth, threads, batch, &cfg);
+    let r = er_parallel::run_er_threads(root, depth, threads, &cfg);
     let exact = alphabeta(root, depth, order).value;
     assert_eq!(
         r.value, exact,
-        "{name}: threaded back-end disagrees with alpha-beta"
+        "{name}@{threads}: threaded back-end disagrees with alpha-beta"
     );
+    let sim_nodes = run_er_sim(root, depth, threads, &cfg).stats.nodes();
     let c = r.counters();
+    assert_eq!(
+        c.pos_clones_in_lock, 0,
+        "{name}@{threads}: position cloned while the heap mutex was held"
+    );
+    assert_eq!(
+        c.lock_acquisitions,
+        c.jobs_executed + threads as u64,
+        "{name}@{threads}: one acquisition per job plus one exit round per thread"
+    );
+    if threads == 1 {
+        assert_eq!(
+            r.stats.nodes(),
+            sim_nodes,
+            "{name}: one worker must examine exactly the 1-processor simulator's nodes"
+        );
+    }
     let seed_acquisitions = 2 * c.jobs_executed;
     ThreadsRow {
         tree: name.to_string(),
         depth,
         serial_depth,
         threads,
-        batch,
+        oversubscribed: threads > logical_cpus(),
         value: r.value.get(),
         nodes: r.stats.nodes(),
+        sim_nodes,
+        nodes_over_sim: r.stats.nodes() as f64 / sim_nodes.max(1) as f64,
         eval_calls: r.stats.eval_calls,
         cached_leaf_hits: r.cached_leaf_hits,
         seed_eval_calls: r.stats.eval_calls + r.cached_leaf_hits,
         lock_acquisitions: c.lock_acquisitions,
-        select_batches: c.select_batches,
         jobs_executed: c.jobs_executed,
         wakeups: c.wakeups,
         idle_parks: c.idle_parks,
@@ -858,9 +889,9 @@ fn threads_row<P: GamePosition>(
 
 /// The threaded back-end grid.
 ///
-/// * **R1 at Table 3 settings** (no sorting): the pure locking win —
-///   `acquisition_ratio` records how far fused + batched acquisitions
-///   undercut the seed's two-locks-per-job design.
+/// * **R1 at Table 3 settings** (no sorting): the locking accounting —
+///   one acquisition per job plus one exit round per thread, against the
+///   seed's two per job.
 /// * **O1 at Table 3 settings** (sorted above ply five): the real Othello
 ///   workload on real threads.
 /// * **O1 at `serial_depth = 0`, reduced depth**: every leaf flows
@@ -868,49 +899,42 @@ fn threads_row<P: GamePosition>(
 ///   calls the seed would have made twice — `eval_calls` vs
 ///   `seed_eval_calls` is the memoization win.
 ///
-/// Each at 1 and 4 threads with batch sizes 1 and 8.
+/// Each at 1, 2 and 4 threads. Every row's value, lock accounting and
+/// clone count, and every 1-thread row's node count, are asserted inside
+/// `threads_row`.
 pub fn threads_rows() -> Vec<ThreadsRow> {
     let mut rows = Vec::new();
     let r1 = &crate::trees::random_trees()[0];
     let o1 = &crate::trees::othello_trees()[0];
-    for &threads in &[1usize, 4] {
-        for &batch in &[1usize, 8] {
-            rows.push(threads_row(
-                r1.name,
-                &r1.root,
-                r1.depth,
-                r1.serial_depth,
-                r1.order,
-                threads,
-                batch,
-            ));
-            rows.push(threads_row(
-                o1.name,
-                &o1.root,
-                o1.depth,
-                o1.serial_depth,
-                o1.order,
-                threads,
-                batch,
-            ));
-            rows.push(threads_row(
-                o1.name, &o1.root, 5, 0, o1.order, threads, batch,
-            ));
-        }
+    for &threads in &[1usize, 2, 4] {
+        rows.push(threads_row(
+            r1.name,
+            &r1.root,
+            r1.depth,
+            r1.serial_depth,
+            r1.order,
+            threads,
+        ));
+        rows.push(threads_row(
+            o1.name,
+            &o1.root,
+            o1.depth,
+            o1.serial_depth,
+            o1.order,
+            threads,
+        ));
+        rows.push(threads_row(o1.name, &o1.root, 5, 0, o1.order, threads));
     }
     rows
 }
 
 /// One scaling measurement: a Table 3 tree searched by the threaded
-/// back-end at one thread count, in one execution mode.
-///
-/// `mode` is `"baseline"` — the PR 1 execution layer (fixed batch of
-/// [`er_parallel::DEFAULT_BATCH`], no stealing: every job flows through
-/// the global heap mutex) — or `"ws"`, the work-stealing layer (adaptive
-/// batch, per-worker deques, steal-before-park, position arena). The
-/// paper's §3.1 argument is that a single shared problem heap serializes
-/// processors on its lock as they multiply; the counters here measure how
-/// far the ws layer pushes that serial fraction down on real threads.
+/// back-end at one thread count, against the deterministic simulator at
+/// the same worker count. The paper's §3.1 argument is that a single
+/// shared problem heap serializes processors on its lock as they
+/// multiply; the counters here measure that serial fraction on real
+/// threads, and `nodes_over_sim` measures how far real scheduling moves
+/// the speculative work away from the simulated machine's.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
     /// Table 3 tree name.
@@ -921,42 +945,37 @@ pub struct ScalingRow {
     pub serial_depth: u32,
     /// OS threads used.
     pub threads: usize,
-    /// `"baseline"` or `"ws"` (see type docs).
-    pub mode: String,
+    /// More threads than this host has logical CPUs.
+    pub oversubscribed: bool,
     /// Independent repetitions folded into this row. OS scheduling makes
-    /// any single run's counters noisy (±10% swings on a loaded host);
-    /// every counter below is summed over the repetitions, so the ratios
-    /// compare means over several schedules.
+    /// any single multi-thread run's counters noisy (±10% swings on a
+    /// loaded host); every counter below is summed over the repetitions,
+    /// so the ratios compare means over several schedules.
     pub reps: u32,
     /// Root value (asserted equal to serial alpha-beta on every rep).
     pub value: i32,
-    /// Nodes examined, summed over reps (varies with thread scheduling;
-    /// the value never).
+    /// Nodes examined, summed over reps (at one thread every rep equals
+    /// the simulator's count, asserted; above that it varies with thread
+    /// scheduling, the value never).
     pub nodes: u64,
+    /// The simulator's nodes at the same worker count, times `reps`.
+    pub sim_nodes: u64,
+    /// `nodes / sim_nodes`.
+    pub nodes_over_sim: f64,
     /// Jobs executed outside the lock, summed over reps.
     pub jobs_executed: u64,
     /// Heap-mutex acquisitions across all threads, summed over reps.
     pub lock_acquisitions: u64,
     /// `lock_acquisitions / jobs_executed` — the contention figure of
-    /// merit; lower is better.
+    /// merit; one round per job plus one exit round per thread.
     pub acq_per_job: f64,
-    /// Steal attempts across all workers (0 in baseline mode).
-    pub steal_attempts: u64,
-    /// Steals that yielded a job.
-    pub steal_hits: u64,
     /// Mean nanoseconds spent waiting for the heap mutex per acquisition.
     pub mean_lock_wait_nanos: f64,
     /// Nanoseconds the mutex was held, summed over all acquisitions.
     pub lock_hold_nanos: u64,
-    /// Positions published to the lock-free arena (refcount bumps).
-    pub arena_publishes: u64,
-    /// Deep position clones taken while holding the mutex — the PR's
-    /// invariant keeps this at zero (asserted before recording).
+    /// Deep position clones taken while holding the mutex — kept at zero
+    /// by construction (asserted before recording).
     pub pos_clones_in_lock: u64,
-    /// Adaptive batch-size increases.
-    pub batch_grows: u64,
-    /// Adaptive batch-size decreases.
-    pub batch_shrinks: u64,
     /// Wall-clock milliseconds, summed over reps.
     pub elapsed_ms: f64,
 }
@@ -964,7 +983,6 @@ pub struct ScalingRow {
 /// Repetitions folded into each scaling row (see [`ScalingRow::reps`]).
 pub const SCALING_REPS: u32 = 3;
 
-#[allow(clippy::too_many_arguments)]
 fn scaling_row<P: GamePosition>(
     name: &str,
     root: &P,
@@ -972,10 +990,7 @@ fn scaling_row<P: GamePosition>(
     serial_depth: u32,
     order: OrderPolicy,
     threads: usize,
-    mode: &str,
-    exec: er_parallel::ThreadsConfig,
 ) -> ScalingRow {
-    use er_parallel::run_er_threads_exec;
     use problem_heap::ThreadCounters;
     let cfg = ErParallelConfig {
         serial_depth,
@@ -985,90 +1000,88 @@ fn scaling_row<P: GamePosition>(
         sel: SelectivityConfig::OFF,
     };
     let exact = alphabeta(root, depth, order).value;
+    let sim_nodes = run_er_sim(root, depth, threads, &cfg).stats.nodes();
     let mut c = ThreadCounters::default();
     let mut nodes = 0u64;
     let mut elapsed_ms = 0.0f64;
     for _ in 0..SCALING_REPS {
-        let r = run_er_threads_exec(root, depth, threads, &cfg, exec)
-            .expect("unlimited-control scaling run cannot abort");
+        let r = er_parallel::run_er_threads(root, depth, threads, &cfg);
         assert_eq!(
             r.value, exact,
-            "{name} {mode}@{threads}: threaded back-end disagrees with alpha-beta"
+            "{name}@{threads}: threaded back-end disagrees with alpha-beta"
         );
         let rep = r.counters();
         assert_eq!(
             rep.pos_clones_in_lock, 0,
-            "{name} {mode}@{threads}: position cloned while the heap mutex was held"
+            "{name}@{threads}: position cloned while the heap mutex was held"
         );
+        assert_eq!(
+            rep.lock_acquisitions,
+            rep.jobs_executed + threads as u64,
+            "{name}@{threads}: one acquisition per job plus one exit round per thread"
+        );
+        if threads == 1 {
+            assert_eq!(
+                r.stats.nodes(),
+                sim_nodes,
+                "{name}: one worker must examine exactly the 1-processor simulator's nodes"
+            );
+        }
         c.merge(&rep);
         nodes += r.stats.nodes();
         elapsed_ms += r.elapsed.as_secs_f64() * 1e3;
     }
+    let sim_nodes = sim_nodes * u64::from(SCALING_REPS);
     ScalingRow {
         tree: name.to_string(),
         depth,
         serial_depth,
         threads,
-        mode: mode.to_string(),
+        oversubscribed: threads > logical_cpus(),
         reps: SCALING_REPS,
         value: exact.get(),
         nodes,
+        sim_nodes,
+        nodes_over_sim: nodes as f64 / sim_nodes.max(1) as f64,
         jobs_executed: c.jobs_executed,
         lock_acquisitions: c.lock_acquisitions,
         acq_per_job: c.acquisitions_per_job(),
-        steal_attempts: c.steal_attempts,
-        steal_hits: c.steal_hits,
         mean_lock_wait_nanos: c.mean_lock_wait_nanos(),
         lock_hold_nanos: c.lock_hold_nanos,
-        arena_publishes: c.arena_publishes,
         pos_clones_in_lock: c.pos_clones_in_lock,
-        batch_grows: c.batch_grows,
-        batch_shrinks: c.batch_shrinks,
         elapsed_ms,
     }
 }
 
 /// The scaling grid: R1 and O1 at Table 3 settings, at each requested
-/// thread count, baseline execution vs the work-stealing layer.
+/// thread count.
 ///
-/// Every row's root value is asserted against serial alpha-beta and every
-/// row's `pos_clones_in_lock` is asserted zero; the cross-row comparisons
-/// (steal hits, locks per job) live in `repro scaling`, which knows which
-/// thread counts were requested.
+/// Every rep's root value is asserted against serial alpha-beta, its
+/// `pos_clones_in_lock` asserted zero, its lock acquisitions asserted
+/// equal to its jobs plus one exit round per thread, and at one thread its
+/// node count asserted equal to the simulator's, all inside
+/// `scaling_row`.
 pub fn scaling_rows(thread_counts: &[usize]) -> Vec<ScalingRow> {
-    use er_parallel::{BatchPolicy, ThreadsConfig, DEFAULT_BATCH};
-    let baseline = ThreadsConfig {
-        batch: BatchPolicy::Fixed(DEFAULT_BATCH),
-        steal: false,
-        pin: None,
-    };
-    let ws = ThreadsConfig::default();
     let r1 = &crate::trees::random_trees()[0];
     let o1 = &crate::trees::othello_trees()[0];
     let mut rows = Vec::new();
     for &threads in thread_counts {
-        for (mode, exec) in [("baseline", baseline), ("ws", ws)] {
-            rows.push(scaling_row(
-                r1.name,
-                &r1.root,
-                r1.depth,
-                r1.serial_depth,
-                r1.order,
-                threads,
-                mode,
-                exec,
-            ));
-            rows.push(scaling_row(
-                o1.name,
-                &o1.root,
-                o1.depth,
-                o1.serial_depth,
-                o1.order,
-                threads,
-                mode,
-                exec,
-            ));
-        }
+        rows.push(scaling_row(
+            r1.name,
+            &r1.root,
+            r1.depth,
+            r1.serial_depth,
+            r1.order,
+            threads,
+        ));
+        rows.push(scaling_row(
+            o1.name,
+            &o1.root,
+            o1.depth,
+            o1.serial_depth,
+            o1.order,
+            threads,
+        ));
     }
     rows
 }
@@ -1285,7 +1298,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
     threads: usize,
     bits: u32,
 ) -> TtRow {
-    use er_parallel::{run_er_sim_tt, run_er_threads_tt, run_er_threads_with, DEFAULT_BATCH};
+    use er_parallel::{run_er_sim_tt, run_er_threads, run_er_threads_tt};
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -1305,7 +1318,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             (r.value, r.stats, table.stats(), 0.0)
         }
         (_, 0) => {
-            let r = run_er_threads_with(root, depth, threads, DEFAULT_BATCH, &cfg);
+            let r = run_er_threads(root, depth, threads, &cfg);
             (
                 r.value,
                 r.stats,
@@ -1314,7 +1327,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             )
         }
         _ => {
-            let r = run_er_threads_tt(root, depth, threads, DEFAULT_BATCH, &cfg, &table);
+            let r = run_er_threads_tt(root, depth, threads, &cfg, &table);
             (
                 r.value,
                 r.stats,
@@ -1401,8 +1414,8 @@ pub fn tt_rows(bits: u32) -> Vec<TtRow> {
 
 /// One traced threaded run: R1 searched with per-worker event tracing on,
 /// with the [`trace::SearchReport`] aggregates that make the run's
-/// behaviour legible — utilization split, lock-wait distribution, steal
-/// traffic, queue depths.
+/// behaviour legible — utilization split, lock-wait distribution, parks,
+/// queue depths.
 ///
 /// The row also attests the tentpole's zero-interference claim: the same
 /// configuration is run with tracing *off* and both root values are
@@ -1435,10 +1448,6 @@ pub struct TraceRow {
     pub mean_lock_wait_ns: f64,
     /// Largest lock-wait span observed.
     pub max_lock_wait_ns: u64,
-    /// Steal probes recorded.
-    pub steal_attempts: u64,
-    /// Steal probes that yielded a job.
-    pub steal_hits: u64,
     /// Park spans recorded.
     pub parks: u64,
     /// Largest sampled per-worker queue depth.
@@ -1517,8 +1526,6 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
                 park_fraction: report.mean_park_fraction(),
                 mean_lock_wait_ns: report.lock_wait.mean_ns(),
                 max_lock_wait_ns: report.lock_wait.max_ns,
-                steal_attempts: report.count_of(EventKind::StealAttempt),
-                steal_hits: report.count_of(EventKind::StealHit),
                 parks: report.count_of(EventKind::Park),
                 queue_depth_max: report.queue_depth.max,
                 queue_depth_mean: report.queue_depth.mean,
@@ -1565,9 +1572,9 @@ pub struct ChromeExport {
 }
 
 /// Produces a Chrome-trace export at `threads` workers in which **every**
-/// declared event kind occurs, from three kinds of run sharing one
-/// tracer: a short aspiration-windowed O1 prelude, steal-shaped shallow
-/// O1 rounds, and a budgeted deepening R1 run that trips its deadline.
+/// declared event kind occurs, from two kinds of run sharing one tracer:
+/// a short aspiration-windowed O1 prelude and a budgeted deepening R1 run
+/// that trips its deadline.
 ///
 /// Most kinds appear in any threaded run; the conditional ones are each
 /// forced by the run shaped for them. AspirationResearch and QExtension
@@ -1576,16 +1583,14 @@ pub struct ChromeExport {
 /// deterministically (the Othello root value oscillates with search
 /// parity, so every probe fails out of its ±1 window, and O1's frontier
 /// always holds tactically unstable leaves to extend) — and, being a
-/// deepening run, it also pins IdDepthStart/Finish. StealHit is
-/// scheduling-dependent, so bounded steal-rich rounds repeat until one
-/// survives in a ring. AbortTrip needs a wall-clock budget sized to trip
+/// deepening run, it also pins IdDepthStart/Finish. AbortTrip needs a wall-clock budget sized to trip
 /// the R1 run mid-search; budgets are timing-dependent, so the harness
 /// retries across a spread until coverage is total — the *assertions*
 /// on the returned export are about event structure, never timing
 /// margins.
 pub fn chrome_export(threads: usize) -> ChromeExport {
     use er_parallel::{
-        run_er_threads_id_asp_trace_tt, run_er_threads_id_trace_tt, AspirationConfig, BatchPolicy,
+        run_er_threads_id_asp_trace_tt, run_er_threads_id_trace_tt, AspirationConfig,
         SearchControl, ThreadsConfig,
     };
     use std::time::Duration;
@@ -1599,9 +1604,6 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         sel: SelectivityConfig::OFF,
     };
     const BUDGETS_MS: [u64; 12] = [40, 20, 80, 10, 160, 60, 5, 320, 100, 30, 640, 15];
-    // A steal-shaped round lands a ring-surviving hit ~3 times in 4 on a
-    // single-core host; six rounds make an all-miss attempt negligible.
-    const STEAL_ROUNDS: u32 = 6;
     // Worker rows merge across deepening iterations, so the export's size
     // is bounded per worker *per depth*; 2048 events each keeps the full
     // timeline a few megabytes — comfortable for chrome://tracing — while
@@ -1633,41 +1635,6 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
             &SearchControl::unlimited(),
             &tracer,
         );
-        // StealHit is the rarest kind on a small host: a successful
-        // steal needs a thief scheduled against a victim whose deque is
-        // still full, and the ring's overwrite-oldest policy then has to
-        // keep the event to the end of the run. A shallow Othello search
-        // over a thin serial frontier with a large fixed batch maximizes
-        // stealable deque content while keeping the run short; worker
-        // rows merge across runs, so repeating it until a hit survives
-        // in some ring (bounded rounds) accumulates — the budgeted run
-        // below is then responsible for AbortTrip alone.
-        let steal_cfg = ErParallelConfig {
-            serial_depth: 3,
-            ..sel_cfg
-        };
-        let steal_exec = ThreadsConfig {
-            batch: BatchPolicy::Fixed(16),
-            ..ThreadsConfig::default()
-        };
-        for _ in 0..STEAL_ROUNDS {
-            let _ = er_parallel::run_er_threads_trace(
-                &o1.root,
-                5,
-                threads,
-                &steal_cfg,
-                steal_exec,
-                &SearchControl::unlimited(),
-                &tracer,
-            );
-            let hit = tracer
-                .snapshot()
-                .all_events()
-                .any(|e| e.kind == trace::EventKind::StealHit);
-            if hit {
-                break;
-            }
-        }
         let table = tt::TranspositionTable::with_bits(16);
         let ctl = SearchControl::with_budget(Duration::from_millis(budget));
         let _ = run_er_threads_id_trace_tt(
@@ -1835,21 +1802,18 @@ impl_to_json!(ScalingRow {
     depth,
     serial_depth,
     threads,
-    mode,
+    oversubscribed,
     reps,
     value,
     nodes,
+    sim_nodes,
+    nodes_over_sim,
     jobs_executed,
     lock_acquisitions,
     acq_per_job,
-    steal_attempts,
-    steal_hits,
     mean_lock_wait_nanos,
     lock_hold_nanos,
-    arena_publishes,
     pos_clones_in_lock,
-    batch_grows,
-    batch_shrinks,
     elapsed_ms
 });
 impl_to_json!(DeadlineRow {
@@ -1879,8 +1843,6 @@ impl_to_json!(TraceRow {
     park_fraction,
     mean_lock_wait_ns,
     max_lock_wait_ns,
-    steal_attempts,
-    steal_hits,
     parks,
     queue_depth_max,
     queue_depth_mean,
@@ -1910,14 +1872,15 @@ impl_to_json!(ThreadsRow {
     depth,
     serial_depth,
     threads,
-    batch,
+    oversubscribed,
     value,
     nodes,
+    sim_nodes,
+    nodes_over_sim,
     eval_calls,
     cached_leaf_hits,
     seed_eval_calls,
     lock_acquisitions,
-    select_batches,
     jobs_executed,
     wakeups,
     idle_parks,

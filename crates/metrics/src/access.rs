@@ -31,8 +31,8 @@ pub trait MetricsAccess: Copy + Send + Sync {
     fn observe_lock_wait(self, worker: usize, ns: u64);
 
     /// A completed threaded search's totals: nodes examined, jobs
-    /// executed, steal attempts/hits, and wall-clock nanoseconds.
-    fn record_search(self, nodes: u64, jobs: u64, steal_attempts: u64, steal_hits: u64, ns: u64);
+    /// executed, and wall-clock nanoseconds.
+    fn record_search(self, nodes: u64, jobs: u64, ns: u64);
 }
 
 impl MetricsAccess for () {
@@ -42,7 +42,7 @@ impl MetricsAccess for () {
     fn observe_lock_wait(self, _worker: usize, _ns: u64) {}
 
     #[inline(always)]
-    fn record_search(self, _nodes: u64, _jobs: u64, _sa: u64, _sh: u64, _ns: u64) {}
+    fn record_search(self, _nodes: u64, _jobs: u64, _ns: u64) {}
 }
 
 impl MetricsAccess for &EngineMetrics {
@@ -54,11 +54,9 @@ impl MetricsAccess for &EngineMetrics {
     }
 
     #[inline]
-    fn record_search(self, nodes: u64, jobs: u64, steal_attempts: u64, steal_hits: u64, ns: u64) {
+    fn record_search(self, nodes: u64, jobs: u64, ns: u64) {
         self.search_nodes_total.add(0, nodes);
         self.search_jobs_total.add(0, jobs);
-        self.steal_attempts_total.add(0, steal_attempts);
-        self.steal_hits_total.add(0, steal_hits);
         self.search_elapsed_ns_total.add(0, ns);
         self.search_runs_total.inc(0);
     }
@@ -75,9 +73,9 @@ impl MetricsAccess for Option<&EngineMetrics> {
     }
 
     #[inline]
-    fn record_search(self, nodes: u64, jobs: u64, steal_attempts: u64, steal_hits: u64, ns: u64) {
+    fn record_search(self, nodes: u64, jobs: u64, ns: u64) {
         if let Some(m) = self {
-            m.record_search(nodes, jobs, steal_attempts, steal_hits, ns);
+            m.record_search(nodes, jobs, ns);
         }
     }
 }
@@ -99,10 +97,6 @@ pub struct EngineMetrics {
     pub search_nodes_total: Arc<Counter>,
     /// Jobs executed by completed threaded searches.
     pub search_jobs_total: Arc<Counter>,
-    /// Steal attempts across completed searches.
-    pub steal_attempts_total: Arc<Counter>,
-    /// Successful steals across completed searches.
-    pub steal_hits_total: Arc<Counter>,
     /// Wall-clock nanoseconds summed over completed searches
     /// (nodes/sec = `search_nodes_total` / this).
     pub search_elapsed_ns_total: Arc<Counter>,
@@ -161,14 +155,6 @@ impl EngineMetrics {
             search_jobs_total: r.counter(
                 "search_jobs_total",
                 "Problem-heap jobs executed by completed searches.",
-            ),
-            steal_attempts_total: r.counter(
-                "search_steal_attempts_total",
-                "Deque steal attempts across completed searches.",
-            ),
-            steal_hits_total: r.counter(
-                "search_steal_hits_total",
-                "Successful deque steals across completed searches.",
             ),
             search_elapsed_ns_total: r.counter(
                 "search_elapsed_ns_total",
@@ -256,7 +242,7 @@ mod tests {
     fn record_everything(m: &EngineMetrics) {
         let h: &EngineMetrics = m;
         h.observe_lock_wait(0, 120);
-        h.record_search(1000, 50, 8, 3, 2_000_000);
+        h.record_search(1000, 50, 2_000_000);
         m.tt_probes_total.add(0, 10);
         m.tt_hits_total.add(0, 4);
         m.tt_stores_total.add(0, 6);
@@ -286,7 +272,7 @@ mod tests {
     fn unit_handle_records_nothing() {
         let m = EngineMetrics::new(1);
         ().observe_lock_wait(0, 99);
-        ().record_search(1, 1, 1, 1, 1);
+        ().record_search(1, 1, 1);
         assert_eq!(m.search_nodes_total.value(), 0);
         const { assert!(!<() as MetricsAccess>::ENABLED) };
         const { assert!(<&EngineMetrics as MetricsAccess>::ENABLED) };
@@ -296,9 +282,9 @@ mod tests {
     fn option_handle_forwards_when_some() {
         let m = EngineMetrics::new(1);
         let none: Option<&EngineMetrics> = None;
-        none.record_search(5, 1, 0, 0, 10);
+        none.record_search(5, 1, 10);
         assert_eq!(m.search_nodes_total.value(), 0);
-        Some(&m).record_search(5, 1, 0, 0, 10);
+        Some(&m).record_search(5, 1, 10);
         assert_eq!(m.search_nodes_total.value(), 5);
         assert!((m.nodes_per_sec() - 5e8).abs() < 1.0);
     }

@@ -37,7 +37,7 @@ use crate::tree::{Kind, NodeId, SearchTree, ROOT};
 
 /// What must be computed for a taken node, outside the heap lock.
 ///
-/// Tasks carry no position: the executor borrows (simulator) or clones
+/// Tasks carry no position: the executor borrows (simulator) or shares
 /// (threaded back-end) the node's position only when [`Task::needs_pos`]
 /// says the task actually reads it, so bookkeeping-only tasks and
 /// cached-leaf hits never pay for a position copy.
@@ -76,8 +76,9 @@ pub enum Task {
 
 impl Task {
     /// True iff [`execute_task`] reads the node's position for this task.
-    /// The threaded back-end clones the position (under the lock) only when
-    /// this holds; `NextChild`/`ExpandRest`/`CachedLeaf` skip the copy.
+    /// The threaded back-end takes a handle on the position (under the
+    /// lock) only when this holds; `NextChild`/`ExpandRest`/`CachedLeaf`
+    /// skip it.
     pub fn needs_pos(&self) -> bool {
         match self {
             Task::Leaf | Task::Movegen { .. } | Task::Serial { .. } => true,
@@ -141,7 +142,7 @@ pub enum Select {
 /// Executes a task. Pure with respect to the shared tree: callable outside
 /// any lock. `pos` must be `Some` when [`Task::needs_pos`] holds; it is a
 /// borrow so the simulator can point straight into the tree and the
-/// threaded back-end can pass a clone made under the lock.
+/// threaded back-end can pass the handle its selection took.
 ///
 /// `tt` is the (possibly absent) shared transposition table: all table
 /// traffic happens here, outside the heap lock. Probes can only use the
@@ -321,7 +322,7 @@ impl<P: GamePosition> ErWorker<P> {
 
     /// The position at node `id` as a shared handle: a refcount bump, the
     /// only per-job position cost the threaded scheduler pays under the
-    /// heap lock (it publishes the handle into the position arena).
+    /// heap lock (the selected job carries the handle out of it).
     pub fn node_pos_shared(&self, id: NodeId) -> Arc<P> {
         Arc::clone(&self.tree.node(id).pos)
     }
@@ -859,7 +860,7 @@ impl<P: GamePosition> ErWorker<P> {
     }
 
     /// Combined primary + speculative queue length (telemetry sample; the
-    /// threaded back-end records it once per refill when tracing is on).
+    /// threaded back-end records it once per selection when tracing is on).
     pub fn queue_len(&self) -> usize {
         self.primary.len() + self.spec.len()
     }

@@ -113,6 +113,6 @@ pub use id::{
 pub use threads::{
     pin_current_thread, run_er_threads, run_er_threads_ctl, run_er_threads_ctl_tt,
     run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_trace, run_er_threads_trace_tt,
-    run_er_threads_tt, run_er_threads_window_ord, run_er_threads_window_ord_metrics, BatchPolicy,
-    PinPolicy, ThreadsConfig,
+    run_er_threads_tt, run_er_threads_window_ord, run_er_threads_window_ord_metrics, PinPolicy,
+    ThreadsConfig,
 };

@@ -1,31 +1,27 @@
-//! Real-thread back-end for parallel ER: the work-stealing execution layer.
+//! Real-thread back-end for parallel ER: the paper's problem heap on OS
+//! threads.
 //!
 //! The paper's implementation ran one OS process per Sequent processor
-//! against a shared problem heap, and its §3.1 analysis warns that heap
-//! contention is what erodes efficiency as processors are added. This
-//! back-end runs one thread per (virtual) processor against the same
-//! [`ErWorker`] state used by the simulator, with the critical sections
-//! decomposed into three cooperating parts (DESIGN.md §9):
+//! against a shared problem heap (§6): each processor takes one node from
+//! the heap, processes it under the alpha-beta window that holds at that
+//! moment, and puts the result back. This back-end runs one thread per
+//! (virtual) processor against the same [`ErWorker`] state the simulator
+//! drives, in exactly that shape (DESIGN.md §9):
 //!
-//! * **A lock-free position arena.** Node positions live in the tree as
-//!   `Arc<P>`; when the scheduler selects a job that reads its position it
-//!   *publishes* the handle into a [`PublishSlab`] — a refcount bump, not
-//!   a deep clone — and the executor dereferences it *after* dropping the
-//!   lock. No position byte is ever copied while the heap mutex is held
-//!   ([`ThreadCounters::pos_clones_in_lock`] stays zero by construction
-//!   and is asserted in the tests and the `repro scaling` experiment).
-//! * **Per-worker deques with lock-free stealing.** Each refill lands in
-//!   the worker's own bounded Chase–Lev deque ([`ws_deque`]); the owner
-//!   pops lock-free, and an idle sibling *steals* from the other end
-//!   before ever touching the global mutex. Only tree mutation — `apply`
-//!   plus the select bookkeeping — still takes the lock.
-//! * **Adaptive batch sizing.** Under [`BatchPolicy::Adaptive`] each
-//!   worker grows its refill batch (up to [`MAX_BATCH`] =
-//!   `DEFAULT_BATCH * 2`) while lock waits are expensive relative to
-//!   execution, and shrinks it (down to 1) when the queues run dry — small
-//!   batches keep work fresh against the moving alpha-beta windows, large
-//!   ones amortize contention. [`BatchPolicy::Fixed`] pins the PR 1
-//!   behaviour for baseline comparison.
+//! * **One job per lock round.** A worker acquires the heap mutex once per
+//!   job: it applies the outcome of the job it ran last, selects its next
+//!   job, and releases the lock. Every cutoff reaches the tree before the
+//!   worker's next selection, so no job runs under a window staler than
+//!   one job of its own. At 1 worker the sequence of `select`/`apply`
+//!   calls is the simulator's 1-processor sequence, so node counts equal
+//!   [`run_er_sim`](super::run_er_sim)`(.., 1, ..)` exactly and repeat run
+//!   to run.
+//! * **Positions travel with the job.** The selected job carries its
+//!   node's position as an `Arc<P>` handle — a refcount bump under the
+//!   lock, never a deep clone ([`ThreadCounters::pos_clones_in_lock`]
+//!   stays zero by construction and is asserted in the tests and the
+//!   `repro scaling` experiment) — and the executor reads it after the
+//!   lock is dropped.
 //!
 //! **The caller is worker 0.** A run spawns scoped threads only for
 //! workers `1..threads` and runs worker 0's loop on the calling thread, so
@@ -35,11 +31,11 @@
 //! 1-worker call a hand-off and back where inline worker 0 has none
 //! (DESIGN.md §9 has the measurements).
 //!
-//! Idle threads park on a condition variable only after a failed steal
-//! sweep; a thread that leaves surplus work behind wakes exactly one
+//! A worker that finds the heap empty parks on a condition variable; a
+//! thread that leaves work behind after its selection wakes exactly one
 //! parked sibling (`notify_one`), and `notify_all` is reserved for
-//! termination. Every acquisition, wait/hold nanosecond, steal attempt,
-//! executed job, wake-up and park is counted per thread
+//! termination. Every acquisition, wait/hold nanosecond, executed job,
+//! wake-up and park is counted per thread
 //! ([`ThreadCounters`]) and surfaced in [`ErThreadsResult`] so contention
 //! is observable, not guessed at.
 //!
@@ -47,14 +43,13 @@
 //! [`SearchControl`] token. Workers poll it once per scheduling round
 //! (through a per-thread [`CtlProbe`]) and per node inside
 //! serial-frontier jobs (the probe rides into `execute_task`); cheap
-//! leaf/movegen jobs carry no check of their own — a full round of them
-//! runs in microseconds, so the round-top poll bounds the latency without
-//! taxing the execute hot loop the adaptive batcher times. Task execution
-//! runs under
-//! `catch_unwind`, so a panicking evaluator trips the token instead of
-//! unwinding through the pool, and a drop sentinel catches anything that
-//! escapes anyway. A worker that observes a trip — its own or a sibling's
-//! — discards its buffered outcomes (counted as `jobs_aborted`; a partial
+//! leaf/movegen jobs carry no check of their own — one of them runs in
+//! microseconds, so the round-top poll bounds the latency without taxing
+//! the execute hot loop. Task execution runs under `catch_unwind`, so a
+//! panicking evaluator trips the token instead of unwinding through the
+//! pool, and a drop sentinel catches anything that escapes anyway. A
+//! worker that observes a trip — its own or a sibling's — discards its
+//! unapplied outcome (counted as `jobs_aborted`; a partial
 //! result must never reach the shared tree or table), marks the run done
 //! under a poison-tolerant lock, broadcasts the idle condvar so parked
 //! siblings wake, and returns its counters. The caller runs worker 0 under
@@ -64,58 +59,33 @@
 //!
 //! On a multi-core host this achieves real speedup; on any host it
 //! produces the same root value as every serial algorithm (the test suite
-//! checks this), while node counts may vary run-to-run with thread
+//! checks this). Above one worker, node counts vary run-to-run with thread
 //! scheduling — exactly the nondeterminism the deterministic simulator
 //! exists to remove.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::MetricsAccess;
-use problem_heap::{ws_deque, PublishSlab, ThreadCounters, WsOwner, WsStealer};
+use problem_heap::ThreadCounters;
 use trace::{EventKind, TraceAccess, Traced, Tracer, WorkerTrace};
 use tt::{TranspositionTable, TtAccess, TtStats, Zobrist};
 
 use search_serial::er::ErConfig;
 use search_serial::ordering::OrdAccess;
 
-use super::engine::{execute_task, ErWorker, Outcome, Select, Task};
+use super::engine::{execute_task, ErWorker, Job, Outcome, Select, Task};
 use super::ErParallelConfig;
 use crate::control::{AbortReason, CtlProbe, SearchAborted, SearchControl};
 use crate::tree::NodeId;
 
-/// Default jobs per lock acquisition. Small enough that the work a thread
-/// hoards stays fresh against the moving alpha-beta windows, large enough
-/// to amortize the acquisition; see DESIGN.md §7.
-pub const DEFAULT_BATCH: usize = 8;
-
-/// Ceiling of the adaptive batch range, and the most outcomes a thread
-/// buffers before flushing them to the tree.
-pub const MAX_BATCH: usize = DEFAULT_BATCH * 2;
-
-/// Per-worker deque capacity: must exceed [`MAX_BATCH`] (a refill only
-/// happens into an empty deque, so `push` can never fail).
-const DEQUE_CAP: usize = MAX_BATCH * 2;
-
-/// How a worker sizes its refill batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Take up to exactly this many jobs per acquisition (the PR 1
-    /// behaviour; `Fixed(1)` reproduces job-at-a-time selection).
-    Fixed(usize),
-    /// Start at [`DEFAULT_BATCH`] and resize per round within
-    /// `[1, MAX_BATCH]` from observed lock-wait vs execute time.
-    Adaptive,
-}
-
 /// How workers map onto logical CPUs when pinning is requested.
 ///
 /// Pinning stops the OS scheduler from migrating a worker mid-search:
-/// a migrated thread abandons its warm L1/L2 (its deque ring, its arena
-/// reads, its home TT shards — see
+/// a migrated thread abandons its warm L1/L2 (its node positions, its
+/// home TT shards — see
 /// [`TranspositionTable::home_shards`]) and refaults them on the new
 /// core. The mapping is a pure function of the worker index so runs are
 /// reproducible; it says nothing about the search schedule, and the root
@@ -255,14 +225,10 @@ fn logical_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Execution-layer knobs of the threaded back-end, orthogonal to the
-/// algorithmic [`ErParallelConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Execution-layer settings of the threaded back-end, orthogonal to the
+/// algorithmic [`ErParallelConfig`]. The default pins nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThreadsConfig {
-    /// Refill-batch sizing policy.
-    pub batch: BatchPolicy,
-    /// Whether idle workers steal from sibling deques before parking.
-    pub steal: bool,
     /// Optional CPU-affinity policy for the worker threads. `None` (the
     /// default) leaves placement to the OS scheduler; `Some` pins worker
     /// `i` to [`PinPolicy::core_for`]`(i, cores)` where supported (Linux)
@@ -270,18 +236,6 @@ pub struct ThreadsConfig {
     /// thread's previous mask when its loop ends, so the caller — worker
     /// 0 — leaves a pinned run with the mask it brought.
     pub pin: Option<PinPolicy>,
-}
-
-impl Default for ThreadsConfig {
-    /// Adaptive batching with stealing on and no pinning — the
-    /// configuration the scaling experiment ships.
-    fn default() -> ThreadsConfig {
-        ThreadsConfig {
-            batch: BatchPolicy::Adaptive,
-            steal: true,
-            pin: None,
-        }
-    }
 }
 
 /// Result of a threaded parallel ER run.
@@ -325,10 +279,6 @@ struct Shared<P: GamePosition> {
     done: bool,
 }
 
-/// A job descriptor as it travels through deques: node id plus task, both
-/// `Copy` (positions travel through the arena, not the deque).
-type JobRef = (NodeId, Task);
-
 /// Unwraps a run launched without an external control: such a run can only
 /// abort if a worker panicked, which the caller cannot recover from here.
 fn expect_complete(r: Result<ErThreadsResult, SearchAborted>) -> ErThreadsResult {
@@ -336,8 +286,8 @@ fn expect_complete(r: Result<ErThreadsResult, SearchAborted>) -> ErThreadsResult
 }
 
 /// Runs parallel ER with `threads` workers — the calling thread plus
-/// `threads - 1` spawned ones — and the default execution layer (adaptive
-/// batching, stealing on).
+/// `threads - 1` spawned ones — and the default execution layer (no
+/// pinning).
 pub fn run_er_threads<P: GamePosition>(
     pos: &P,
     depth: u32,
@@ -351,24 +301,6 @@ pub fn run_er_threads<P: GamePosition>(
         cfg,
         ThreadsConfig::default(),
     ))
-}
-
-/// Runs parallel ER with a pinned batch size (stealing stays on).
-/// `batch = 1` reproduces job-at-a-time selection (though still with
-/// apply and select fused into one acquisition).
-pub fn run_er_threads_with<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    batch: usize,
-    cfg: &ErParallelConfig,
-) -> ErThreadsResult {
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(batch),
-        steal: true,
-        pin: None,
-    };
-    expect_complete(run_er_threads_exec(pos, depth, threads, cfg, exec))
 }
 
 /// Runs parallel ER with full control over the execution layer.
@@ -426,7 +358,7 @@ pub fn run_er_threads_ctl<P: GamePosition>(
 }
 
 /// [`run_er_threads_ctl`] with a [`Tracer`] attached: every worker records
-/// its activity (job spans, lock waits/holds, steals, parks, queue depths,
+/// its activity (job spans, lock waits/holds, parks, queue depths,
 /// abort trips) into a private bounded ring, submitted to `tracer` when
 /// the thread joins. The root value is bit-identical to the untraced run.
 #[allow(clippy::too_many_arguments)]
@@ -487,7 +419,7 @@ pub fn run_er_threads_trace_tt<P: GamePosition + Zobrist>(
     Ok(r)
 }
 
-/// [`run_er_threads_with`] with all workers sharing `table`: every thread
+/// [`run_er_threads`] with all workers sharing `table`: every thread
 /// probes and stores through the same lock-free table, so one worker's
 /// refutation is every other worker's ordering hint (or outright answer).
 /// [`ErThreadsResult::tt`] reports the run's table activity.
@@ -495,17 +427,16 @@ pub fn run_er_threads_tt<P: GamePosition + Zobrist>(
     pos: &P,
     depth: u32,
     threads: usize,
-    batch: usize,
     cfg: &ErParallelConfig,
     table: &TranspositionTable,
 ) -> ErThreadsResult {
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(batch),
-        steal: true,
-        pin: None,
-    };
     expect_complete(run_er_threads_exec_tt(
-        pos, depth, threads, cfg, exec, table,
+        pos,
+        depth,
+        threads,
+        cfg,
+        ThreadsConfig::default(),
+        table,
     ))
 }
 
@@ -558,29 +489,6 @@ pub fn run_er_threads_ctl_tt<P: GamePosition + Zobrist>(
     Ok(r)
 }
 
-/// State one worker thread keeps across rounds.
-struct WorkerCtx<P: GamePosition> {
-    counters: ThreadCounters,
-    /// Executed-but-unapplied outcomes, flushed at the next acquisition.
-    ready: Vec<(NodeId, Outcome<P>)>,
-    /// Refill staging buffer, reused every round (`pop_batch_into` style:
-    /// no per-round allocation).
-    refill: Vec<JobRef>,
-    /// Current refill-batch target.
-    batch_target: usize,
-    /// One free pass to skip parking and try a steal sweep instead. Granted
-    /// after productive rounds and wake-ups, consumed by the skip — so a
-    /// worker that keeps failing to steal parks on its next empty round
-    /// instead of spinning on the lock.
-    steal_pass: bool,
-    /// Consecutive rounds that met the shrink condition (scarce refill on a
-    /// cheap lock). Shrinking waits for two in a row: a single short refill
-    /// is usually a transient (a sibling just drained the queues), and
-    /// halving the batch on it doubles acquisitions for no sharing gain —
-    /// idle siblings already steal from the owner's deque.
-    scarce_streak: u32,
-}
-
 /// Poison-tolerant lock on the shared heap state. Worker panics are caught
 /// around `execute_task` (outside the lock), so a poisoned mutex can only
 /// come from a bug in the locked bookkeeping itself; even then, recovering
@@ -600,14 +508,12 @@ struct PanicSentinel<'a, P: GamePosition> {
     ctl: &'a SearchControl,
     shared: &'a Mutex<Shared<P>>,
     idle: &'a Condvar,
-    done_flag: &'a AtomicBool,
 }
 
 impl<P: GamePosition> Drop for PanicSentinel<'_, P> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.ctl.trip(AbortReason::WorkerPanicked);
-            self.done_flag.store(true, SeqCst);
             let mut g = lock_shared(self.shared);
             g.done = true;
             drop(g);
@@ -661,7 +567,7 @@ where
 /// [`run_er_threads_window_ord`] with a live metrics handle
 /// (DESIGN.md §16): per-acquisition lock waits land in the engine's
 /// lock-wait histogram as they happen, and a completed run folds its
-/// merged node/job/steal totals into the counters once at the end. With
+/// merged node/job totals into the counters once at the end. With
 /// `mx = ()` every recording call compiles away and this *is*
 /// [`run_er_threads_window_ord`]; the root value is bit-identical either
 /// way (`repro obs` asserts it).
@@ -711,11 +617,6 @@ where
     M: MetricsAccess,
 {
     assert!(threads > 0);
-    let (fixed_batch, adaptive) = match exec.batch {
-        BatchPolicy::Fixed(b) => (b.clamp(1, DEQUE_CAP), false),
-        BatchPolicy::Adaptive => (DEFAULT_BATCH, true),
-    };
-    let steal_on = exec.steal && threads > 1;
     // Resolved once so every worker maps against the same CPU count.
     let pin_cores = exec.pin.map(|policy| (policy, logical_cpus()));
 
@@ -725,284 +626,155 @@ where
         done: false,
     });
     let idle = Condvar::new();
-    // Lock-free mirror of `Shared::done`, checked between jobs so a worker
-    // holding a long deque abandons it promptly at termination.
-    let done_flag = AtomicBool::new(false);
-    // The position arena: published under the lock (refcount bumps), read
-    // lock-free by owners and thieves alike.
-    let arena: PublishSlab<std::sync::Arc<P>> = PublishSlab::new();
     let scfg = ErConfig {
         order: cfg.order,
         sel: cfg.sel,
     };
     let start = Instant::now();
 
-    let mut owners = Vec::with_capacity(threads);
-    let mut stealers = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (o, s) = ws_deque::<JobRef>(DEQUE_CAP);
-        owners.push(o);
-        stealers.push(s);
-    }
-
     let shared = &shared;
     let idle = &idle;
-    let done_flag = &done_flag;
-    let arena = &arena;
-    let stealers: &[WsStealer<JobRef>] = &stealers;
     // The worker loop every participant runs: worker 0 on the calling
     // thread, workers 1.. on scoped threads spawned for this call.
-    let work = |me: usize, mut own: WsOwner<JobRef>| -> ThreadCounters {
+    let work = |me: usize| -> ThreadCounters {
         // Best-effort: an unpinnable host (cgroup mask, non-Linux OS) just
         // runs scheduler-placed. The guard puts the thread's previous mask
         // back when the loop ends, which matters for worker 0: it is the
         // caller's own thread.
         let _pinned = pin_cores.map(|(policy, cores)| PinnedScope::pin(policy.core_for(me, cores)));
-        let _sentinel = PanicSentinel {
-            ctl,
-            shared,
-            idle,
-            done_flag,
-        };
+        let _sentinel = PanicSentinel { ctl, shared, idle };
         let probe = CtlProbe::new(ctl);
         // Per-worker recorder: `()` when tracing is off, so
         // every recording call below compiles away and the
         // loop is byte-identical to the untraced build.
         let wtr = tr.worker(me);
         let ttw = Traced::new(tt, &wtr);
-        let mut cx = WorkerCtx::<P> {
-            counters: ThreadCounters::default(),
-            ready: Vec::with_capacity(MAX_BATCH),
-            refill: Vec::with_capacity(DEQUE_CAP),
-            batch_target: fixed_batch,
-            steal_pass: steal_on,
-            scarce_streak: 0,
-        };
-        let aborting = 'rounds: loop {
-            // Poll the token before flushing outcomes: once it
+        let mut counters = ThreadCounters::default();
+        // The outcome of the job this worker ran last, applied at the top
+        // of its next acquisition.
+        let mut ready: Option<(NodeId, Outcome<P>)> = None;
+        let aborting = loop {
+            // Poll the token before applying the outcome: once it
             // trips, nothing more may be applied to the tree.
             if probe.check().is_some() {
-                break 'rounds true;
+                break true;
             }
-            // ---- Locked phase: apply outcomes, refill, park.
+            // ---- Locked phase: apply the last outcome, select one job.
             let waiting = Instant::now();
             let mut g = lock_shared(shared);
             let waited = waiting.elapsed().as_nanos() as u64;
             let holding = Instant::now();
-            cx.counters.lock_acquisitions += 1;
-            cx.counters.lock_wait_nanos += waited;
+            counters.lock_acquisitions += 1;
+            counters.lock_wait_nanos += waited;
             wtr.span_at(EventKind::LockWait, waiting, waited, 0);
             mx.observe_lock_wait(me, waited);
-            for (id, outcome) in cx.ready.drain(..) {
-                cx.counters.outcomes_applied += 1;
+            if let Some((id, outcome)) = ready.take() {
+                counters.outcomes_applied += 1;
                 if g.worker.apply(id, outcome) {
                     g.done = true;
-                    done_flag.store(true, SeqCst);
                 }
             }
-            loop {
+            let job = loop {
                 if g.done {
-                    break;
+                    break None;
                 }
-                cx.counters.select_batches += 1;
-                while cx.refill.len() < cx.batch_target {
-                    match g.worker.select() {
-                        Select::Job(job) => {
-                            if job.task.needs_pos()
-                                && arena.publish(job.id as usize, g.worker.node_pos_shared(job.id))
-                            {
-                                cx.counters.arena_publishes += 1;
-                            }
-                            cx.refill.push((job.id, job.task));
+                match g.worker.select() {
+                    Select::Job(job) => break Some(job),
+                    Select::JustFinished => g.done = true,
+                    Select::Empty => {
+                        counters.idle_parks += 1;
+                        g.parked += 1;
+                        let park_start = wtr.now_ns();
+                        while !g.done && !g.worker.work_available() {
+                            // A poisoned wait still hands the guard
+                            // back; an aborting sibling has set `done`,
+                            // which the loop condition re-checks.
+                            g = idle.wait(g).unwrap_or_else(PoisonError::into_inner);
                         }
-                        Select::JustFinished => {
-                            g.done = true;
-                            done_flag.store(true, SeqCst);
-                            break;
-                        }
-                        Select::Empty => break,
+                        g.parked -= 1;
+                        wtr.span(
+                            EventKind::Park,
+                            park_start,
+                            wtr.now_ns().saturating_sub(park_start),
+                            0,
+                        );
+                        wtr.instant(EventKind::Unpark, 0);
                     }
                 }
-                if !cx.refill.is_empty() || g.done {
-                    break;
-                }
-                // Global queues are dry. Spend the steal pass —
-                // leave the lock and sweep sibling deques —
-                // before committing to a park.
-                if cx.steal_pass
-                    && stealers
-                        .iter()
-                        .enumerate()
-                        .any(|(j, s)| j != me && !s.is_empty())
-                {
-                    cx.steal_pass = false;
-                    break;
-                }
-                cx.counters.idle_parks += 1;
-                g.parked += 1;
-                let park_start = wtr.now_ns();
-                while !g.done && !g.worker.work_available() {
-                    // A poisoned wait still hands the guard
-                    // back; an aborting sibling has set `done`,
-                    // which the loop condition re-checks.
-                    g = idle.wait(g).unwrap_or_else(PoisonError::into_inner);
-                }
-                g.parked -= 1;
-                wtr.span(
-                    EventKind::Park,
-                    park_start,
-                    wtr.now_ns().saturating_sub(park_start),
-                    0,
-                );
-                wtr.instant(EventKind::Unpark, 0);
-                cx.steal_pass = steal_on;
-            }
-            if g.done {
-                // Termination is the one broadcast: every
-                // parked thread must observe `done`. Unexecuted
-                // deque jobs are simply abandoned (they were
-                // never counted as executed).
+            };
+            let Some(Job { id, task }) = job else {
+                // Termination is the one broadcast: every parked
+                // thread must observe `done`.
                 idle.notify_all();
                 let hold = holding.elapsed().as_nanos() as u64;
-                cx.counters.lock_hold_nanos += hold;
+                counters.lock_hold_nanos += hold;
                 wtr.span_at(EventKind::LockHold, holding, hold, 0);
-                break 'rounds false;
-            }
-            // Targeted hand-off: if work remains after this
-            // refill and someone is parked, wake exactly one
-            // sibling; it chain-wakes the next if work remains.
+                break false;
+            };
+            // Targeted hand-off: if work remains after this selection
+            // and someone is parked, wake exactly one sibling; it
+            // chain-wakes the next if work remains.
             if g.parked > 0 && g.worker.work_available() {
-                cx.counters.wakeups += 1;
+                counters.wakeups += 1;
                 idle.notify_one();
             }
-            let refilled = cx.refill.len();
             if R::ENABLED {
-                // Sampled once per refill, still under the lock
-                // (queue lengths are guarded state); recording
-                // itself stays in the private ring.
+                // Sampled once per selection, still under the lock
+                // (queue lengths are guarded state); recording itself
+                // stays in the private ring.
                 wtr.instant(EventKind::QueueDepth, g.worker.queue_len() as u32);
             }
+            // A refcount bump, not a copy: the executor reads the
+            // position after the lock is dropped.
+            let pos = task.needs_pos().then(|| g.worker.node_pos_shared(id));
             let hold = holding.elapsed().as_nanos() as u64;
-            cx.counters.lock_hold_nanos += hold;
-            wtr.span_at(EventKind::LockHold, holding, hold, refilled as u32);
+            counters.lock_hold_nanos += hold;
+            wtr.span_at(EventKind::LockHold, holding, hold, 1);
             drop(g);
 
-            // ---- Execute phase, entirely outside the lock.
-            // Reverse push so the owner pops in scheduler
-            // priority order while thieves take the oldest
-            // (lowest-priority) jobs from the far end.
-            for jr in cx.refill.drain(..).rev() {
-                own.push(jr).expect("deque capacity exceeds max batch");
-            }
-            let executing = Instant::now();
-            let mut executed_this_round = 0u64;
-            while let Some((id, task)) = own.pop() {
-                // A `false` return means the job produced no
-                // applicable outcome: the control tripped
-                // mid-job or the task panicked (already caught
-                // and converted into a trip).
-                if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
-                    break 'rounds true;
-                }
-                executed_this_round += 1;
-                if done_flag.load(SeqCst) {
-                    break;
-                }
-            }
-
-            // ---- Steal phase: drain siblings lock-free until
-            // the outcome buffer justifies an acquisition.
-            if steal_on && !done_flag.load(SeqCst) {
-                while cx.ready.len() < MAX_BATCH {
-                    let mut stolen = None;
-                    for off in 1..threads {
-                        let j = (me + off) % threads;
-                        cx.counters.steal_attempts += 1;
-                        wtr.instant(EventKind::StealAttempt, j as u32);
-                        if let Some(jr) = stealers[j].steal() {
-                            cx.counters.steal_hits += 1;
-                            wtr.instant(EventKind::StealHit, j as u32);
-                            stolen = Some(jr);
-                            break;
-                        }
-                    }
-                    let Some((id, task)) = stolen else { break };
-                    if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
-                        break 'rounds true;
-                    }
-                    executed_this_round += 1;
-                    if done_flag.load(SeqCst) {
-                        break;
-                    }
-                }
-            }
-            let execd = executing.elapsed().as_nanos() as u64;
-
-            // ---- Adapt the batch target for the next round.
-            if adaptive && executed_this_round > 0 {
-                if waited * 4 >= execd && cx.batch_target < MAX_BATCH {
-                    // Lock waits cost >= 25% of execution:
-                    // amortize harder.
-                    cx.batch_target = (cx.batch_target * 2).min(MAX_BATCH);
-                    cx.counters.batch_grows += 1;
-                    cx.scarce_streak = 0;
-                } else if refilled * 2 < cx.batch_target
-                    && waited * 16 < execd
-                    && cx.batch_target > 1
-                {
-                    // Queues are scarce and the lock is cheap:
-                    // smaller batches keep windows fresh. Demand
-                    // the signal twice in a row before paying
-                    // for it (see `scarce_streak`).
-                    cx.scarce_streak += 1;
-                    if cx.scarce_streak >= 2 {
-                        cx.batch_target /= 2;
-                        cx.counters.batch_shrinks += 1;
-                        cx.scarce_streak = 0;
-                    }
-                } else {
-                    cx.scarce_streak = 0;
-                }
-            }
-            if executed_this_round > 0 {
-                cx.steal_pass = steal_on;
+            // ---- Execute phase, entirely outside the lock. `None`
+            // means the job produced no applicable outcome: the
+            // control tripped mid-job or the task panicked (already
+            // caught and converted into a trip).
+            match run_job(
+                &mut counters,
+                pos.as_deref(),
+                &task,
+                scfg,
+                ttw,
+                &probe,
+                &wtr,
+                ord,
+            ) {
+                Some(outcome) => ready = Some((id, outcome)),
+                None => break true,
             }
         };
         if aborting {
-            // Abort protocol: discard everything local (a
-            // partial run's outcomes must not touch the tree),
-            // mark the run done under a poison-tolerant lock,
-            // and wake every parked sibling.
+            // Abort protocol: discard the unapplied outcome (a
+            // partial run's results must not touch the tree), mark
+            // the run done under a poison-tolerant lock, and wake
+            // every parked sibling.
             wtr.instant_now(
                 EventKind::AbortTrip,
                 ctl.reason().map(|r| r as u32).unwrap_or(0),
             );
-            cx.counters.jobs_aborted += cx.ready.len() as u64;
-            cx.ready.clear();
-            while own.pop().is_some() {
-                cx.counters.jobs_aborted += 1;
-            }
-            done_flag.store(true, SeqCst);
+            counters.jobs_aborted += ready.take().is_some() as u64;
             let mut g = lock_shared(shared);
             g.done = true;
             drop(g);
             idle.notify_all();
         }
         tr.submit(wtr);
-        cx.counters
+        counters
     };
     let work = &work;
     let per_thread: Vec<ThreadCounters> = std::thread::scope(|scope| {
-        let mut owners = owners.into_iter();
-        let own0 = owners.next().expect("threads > 0");
-        let handles: Vec<_> = owners
-            .enumerate()
-            .map(|(i, own)| scope.spawn(move || work(i + 1, own)))
-            .collect();
+        let handles: Vec<_> = (1..threads).map(|i| scope.spawn(move || work(i))).collect();
         // The caller is worker 0, so a 1-worker search never leaves this
         // thread. Its panics are caught exactly like a spawned worker's
         // join error.
-        let first = catch_unwind(AssertUnwindSafe(|| work(0, own0)));
+        let first = catch_unwind(AssertUnwindSafe(|| work(0)));
         std::iter::once(first)
             .chain(handles.into_iter().map(|h| h.join()))
             .map(|r| {
@@ -1033,8 +805,6 @@ where
             mx.record_search(
                 g.worker.totals.nodes(),
                 total.jobs_executed,
-                total.steal_attempts,
-                total.steal_hits,
                 elapsed.as_nanos() as u64,
             );
         }
@@ -1054,33 +824,25 @@ where
     })
 }
 
-/// Executes one job lock-free: the position (when the task reads one) is
-/// dereferenced out of the arena — published earlier by whichever scheduler
-/// round selected the job — and the outcome is buffered for the worker's
-/// next acquisition.
+/// Executes one job lock-free on the position handle its selection took,
+/// returning the outcome for the worker's next acquisition to apply.
 ///
-/// Returns `false` when the job produced no applicable outcome: the
+/// Returns `None` when the job produced no applicable outcome: the
 /// control tripped inside a serial-frontier batch, or the task panicked —
 /// the panic is caught here and converted into a `WorkerPanicked` trip, so
 /// an evaluator bug aborts the run instead of poisoning the heap mutex.
 #[allow(clippy::too_many_arguments)]
 fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
-    cx: &mut WorkerCtx<P>,
-    arena: &PublishSlab<std::sync::Arc<P>>,
-    id: NodeId,
+    counters: &mut ThreadCounters,
+    pos: Option<&P>,
     task: &Task,
     scfg: ErConfig,
     tt: T,
     probe: &CtlProbe<'_>,
     wtr: &W,
     ord: O,
-) -> bool {
-    cx.counters.jobs_executed += 1;
-    let pos: Option<&P> = task.needs_pos().then(|| {
-        &**arena
-            .get(id as usize)
-            .expect("position published before the job was queued")
-    });
+) -> Option<Outcome<P>> {
+    counters.jobs_executed += 1;
     let job_start = wtr.now_ns();
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
         execute_task(task, pos, scfg, tt, probe, ord)
@@ -1088,8 +850,8 @@ fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
         Ok(outcome) => outcome,
         Err(_) => {
             probe.control().trip(AbortReason::WorkerPanicked);
-            cx.counters.jobs_aborted += 1;
-            return false;
+            counters.jobs_aborted += 1;
+            return None;
         }
     };
     wtr.span(
@@ -1099,19 +861,18 @@ fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
         task_arg(task),
     );
     if matches!(outcome, Outcome::Aborted) {
-        cx.counters.jobs_aborted += 1;
-        return false;
+        counters.jobs_aborted += 1;
+        return None;
     }
     if let Outcome::Serial { stats, .. } = &outcome {
         // Harvest the serial frontier's ordering/selectivity counters into
         // the per-thread totals the bench output surfaces.
-        cx.counters.re_searches += stats.re_searches;
-        cx.counters.killer_hits += stats.killer_hits;
-        cx.counters.history_hits += stats.history_hits;
-        cx.counters.q_extensions += stats.q_extensions;
+        counters.re_searches += stats.re_searches;
+        counters.killer_hits += stats.killer_hits;
+        counters.history_hits += stats.history_hits;
+        counters.q_extensions += stats.q_extensions;
     }
-    cx.ready.push((id, outcome));
-    true
+    Some(outcome)
 }
 
 #[cfg(test)]
@@ -1141,50 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_negmax_across_batch_sizes() {
-        let root = RandomTreeSpec::new(8, 4, 7).root();
-        let exact = negmax(&root, 7).value;
-        for batch in [1usize, 2, 4, 16, 64] {
-            for threads in [1usize, 4] {
-                let r = run_er_threads_with(
-                    &root,
-                    7,
-                    threads,
-                    batch,
-                    &ErParallelConfig::random_tree(3),
-                );
-                assert_eq!(r.value, exact, "batch {batch} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_negmax_across_exec_configs() {
-        let root = RandomTreeSpec::new(14, 4, 7).root();
-        let exact = negmax(&root, 7).value;
-        for batch in [BatchPolicy::Adaptive, BatchPolicy::Fixed(8)] {
-            for steal in [false, true] {
-                for threads in [1usize, 4] {
-                    let exec = ThreadsConfig {
-                        batch,
-                        steal,
-                        pin: None,
-                    };
-                    let r = run_er_threads_exec(
-                        &root,
-                        7,
-                        threads,
-                        &ErParallelConfig::random_tree(3),
-                        exec,
-                    )
-                    .expect("unlimited-control run cannot abort");
-                    assert_eq!(r.value, exact, "exec {exec:?} threads {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tictactoe_threaded_draw() {
         let r = run_er_threads(
             &TicTacToe::initial(),
@@ -1209,33 +926,40 @@ mod tests {
     #[test]
     fn counters_are_populated_and_consistent() {
         let root = RandomTreeSpec::new(5, 4, 7).root();
-        let r = run_er_threads_with(&root, 7, 4, 8, &ErParallelConfig::random_tree(3));
+        let r = run_er_threads(&root, 7, 4, &ErParallelConfig::random_tree(3));
         assert_eq!(r.per_thread.len(), 4);
         let total = r.counters();
-        assert!(total.lock_acquisitions > 0);
         assert!(total.jobs_executed > 0);
         // Every executed job's outcome is applied exactly once.
         assert_eq!(total.jobs_executed, total.outcomes_applied);
-        // Batching must beat two-acquisitions-per-job (the seed design)
-        // by construction: apply and select share an acquisition.
-        assert!(
-            total.lock_acquisitions < 2 * total.jobs_executed + total.idle_parks,
-            "fused acquisitions must undercut the per-phase locking bound"
-        );
+    }
+
+    #[test]
+    fn one_acquisition_per_job_plus_one_exit_round() {
+        // Each round takes the lock once, applies one outcome and selects
+        // one job; a worker's last round finds the run done. Parks wait
+        // inside a round and add no acquisition.
+        let root = RandomTreeSpec::new(12, 4, 8).root();
+        for threads in [1usize, 2, 4] {
+            let r = run_er_threads(&root, 8, threads, &ErParallelConfig::random_tree(4));
+            for (i, c) in r.per_thread.iter().enumerate() {
+                assert_eq!(
+                    c.lock_acquisitions,
+                    c.jobs_executed + 1,
+                    "worker {i} of {threads}"
+                );
+            }
+        }
     }
 
     #[test]
     fn no_position_clone_under_the_lock() {
-        // The acceptance invariant of the execution layer: positions reach
-        // executors through the arena (refcount bumps under the lock,
-        // published once per node), never by deep-cloning in the critical
-        // section.
+        // The acceptance invariant of the execution layer: a job takes its
+        // position as a refcount bump under the lock, never a deep clone.
         let root = RandomTreeSpec::new(9, 4, 8).root();
         for threads in [1usize, 4, 8] {
             let r = run_er_threads(&root, 8, threads, &ErParallelConfig::random_tree(3));
-            let c = r.counters();
-            assert_eq!(c.pos_clones_in_lock, 0, "threads {threads}");
-            assert!(c.arena_publishes > 0, "threads {threads}");
+            assert_eq!(r.counters().pos_clones_in_lock, 0, "threads {threads}");
         }
     }
 
@@ -1248,41 +972,6 @@ mod tests {
         // a run that applied thousands of outcomes.
         assert!(c.lock_hold_nanos > 0);
         assert!(c.mean_lock_wait_nanos() >= 0.0);
-    }
-
-    #[test]
-    fn larger_batches_need_fewer_acquisitions() {
-        let root = RandomTreeSpec::new(12, 4, 8).root();
-        let cfg = ErParallelConfig::random_tree(4);
-        let b1 = run_er_threads_with(&root, 8, 1, 1, &cfg);
-        let b16 = run_er_threads_with(&root, 8, 1, 16, &cfg);
-        assert_eq!(b1.value, b16.value);
-        let (a1, a16) = (b1.counters(), b16.counters());
-        assert!(
-            a16.lock_acquisitions * 2 <= a1.lock_acquisitions,
-            "batch=16 should need at most half the acquisitions of batch=1 \
-             ({} vs {})",
-            a16.lock_acquisitions,
-            a1.lock_acquisitions
-        );
-    }
-
-    #[test]
-    fn adaptive_batching_adjusts_and_stays_correct() {
-        let root = RandomTreeSpec::new(18, 4, 8).root();
-        let exact = negmax(&root, 8).value;
-        let exec = ThreadsConfig {
-            batch: BatchPolicy::Adaptive,
-            steal: true,
-            pin: None,
-        };
-        let r = run_er_threads_exec(&root, 8, 4, &ErParallelConfig::random_tree(3), exec)
-            .expect("unlimited-control run cannot abort");
-        assert_eq!(r.value, exact);
-        let c = r.counters();
-        // The adaptive controller ran (its counters merged), whichever
-        // direction this host's timings pushed it.
-        assert_eq!(c.jobs_executed, c.outcomes_applied);
     }
 
     #[test]
@@ -1328,10 +1017,7 @@ mod tests {
         let root = RandomTreeSpec::new(21, 4, 7).root();
         let exact = negmax(&root, 7).value;
         for pin in [None, Some(PinPolicy::Compact), Some(PinPolicy::Scatter(2))] {
-            let exec = ThreadsConfig {
-                pin,
-                ..ThreadsConfig::default()
-            };
+            let exec = ThreadsConfig { pin };
             let r = run_er_threads_exec(&root, 7, 4, &ErParallelConfig::random_tree(3), exec)
                 .expect("unlimited-control run cannot abort");
             assert_eq!(r.value, exact, "pin {pin:?}");
@@ -1347,10 +1033,7 @@ mod tests {
         let before = affinity::get().expect("sched_getaffinity works on Linux");
         for threads in [1usize, 2] {
             for pin in [PinPolicy::Compact, PinPolicy::Scatter(2)] {
-                let exec = ThreadsConfig {
-                    pin: Some(pin),
-                    ..ThreadsConfig::default()
-                };
+                let exec = ThreadsConfig { pin: Some(pin) };
                 run_er_threads_exec(&root, 6, threads, &ErParallelConfig::random_tree(2), exec)
                     .expect("unlimited-control run cannot abort");
                 assert_eq!(

@@ -23,8 +23,7 @@ pub mod tree;
 
 pub use control::{AbortReason, SearchAborted, SearchControl};
 pub use er::threads::{
-    pin_current_thread, run_er_threads_tt, run_er_threads_with, BatchPolicy, ErThreadsResult,
-    PinPolicy, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
+    pin_current_thread, run_er_threads_tt, ErThreadsResult, PinPolicy, ThreadsConfig,
 };
 pub use er::{
     run_er_sim, run_er_sim_ord, run_er_sim_tt, run_er_sim_window_ord, run_er_threads,

@@ -48,8 +48,8 @@ pub enum Kind {
 #[derive(Clone, Debug)]
 pub struct Node<P: GamePosition> {
     /// The game position at this node, as a shared handle: the threaded
-    /// back-end publishes it into a lock-free arena (a refcount bump, not a
-    /// deep clone) so executors read positions after dropping the heap lock.
+    /// back-end hands it to the selected job (a refcount bump, not a deep
+    /// clone) so executors read positions after dropping the heap lock.
     pub pos: Arc<P>,
     /// Parent node, `None` for the root.
     pub parent: Option<NodeId>,

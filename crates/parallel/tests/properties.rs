@@ -3,10 +3,7 @@
 //! step-by-step checks of the Table 1/2 scheduling rules.
 
 use er_parallel::er::engine::{execute_task, ErWorker, Select, Task};
-use er_parallel::{
-    run_er_sim, run_er_threads_exec, run_er_threads_with, BatchPolicy, ErParallelConfig,
-    Speculation, ThreadsConfig, DEFAULT_BATCH,
-};
+use er_parallel::{run_er_sim, run_er_threads, ErParallelConfig, Speculation};
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value};
@@ -50,42 +47,34 @@ proptest! {
     fn threads_match_negmax_on_random_trees(
         seed in any::<u64>(),
         threads_idx in 0usize..4,
-        batch_idx in 0usize..3,
     ) {
+        // Every worker count agrees with negamax, and none deep-clones a
+        // position under the heap lock.
         let threads = [1usize, 2, 4, 8][threads_idx];
-        let batch = [1usize, 4, 16][batch_idx];
         let root = RandomTreeSpec::new(seed, 3, 5).root();
-        let r = run_er_threads_with(
-            &root, 5, threads, batch, &ErParallelConfig::random_tree(2),
-        );
+        let r = run_er_threads(&root, 5, threads, &ErParallelConfig::random_tree(2));
         prop_assert_eq!(r.value, negmax(&root, 5).value);
+        prop_assert_eq!(r.counters().pos_clones_in_lock, 0);
     }
 
     #[test]
-    fn exec_matrix_matches_negmax_on_random_trees(
+    fn one_worker_threads_equal_the_simulator_on_random_trees(
         seed in any::<u64>(),
-        threads_idx in 0usize..4,
-        exec_idx in 0usize..4,
+        degree in 2u32..6,
+        serial_depth in 0u32..5,
     ) {
-        // {threads 1,2,4,8} x {adaptive, fixed} x {steal on/off}: every
-        // execution-layer combination agrees with negamax, and no
-        // combination deep-clones a position under the heap lock.
-        let threads = [1usize, 2, 4, 8][threads_idx];
-        let exec = ThreadsConfig {
-            batch: if exec_idx & 1 != 0 {
-                BatchPolicy::Adaptive
-            } else {
-                BatchPolicy::Fixed(DEFAULT_BATCH)
-            },
-            steal: exec_idx & 2 != 0,
-            pin: None,
-        };
-        let root = RandomTreeSpec::new(seed, 3, 5).root();
-        let r = run_er_threads_exec(
-            &root, 5, threads, &ErParallelConfig::random_tree(2), exec,
-        ).expect("unlimited-control run cannot abort");
-        prop_assert_eq!(r.value, negmax(&root, 5).value);
-        prop_assert_eq!(r.counters().pos_clones_in_lock, 0);
+        // One worker runs the 1-processor simulator's select/apply
+        // sequence: the same nodes, evaluator calls and cached leaves,
+        // and the same again on a second run.
+        let root = RandomTreeSpec::new(seed, degree, 6).root();
+        let cfg = ErParallelConfig::random_tree(serial_depth);
+        let sim = run_er_sim(&root, 6, 1, &cfg);
+        let first = run_er_threads(&root, 6, 1, &cfg);
+        let second = run_er_threads(&root, 6, 1, &cfg);
+        prop_assert_eq!(first.value, sim.value);
+        prop_assert_eq!(first.stats, sim.stats);
+        prop_assert_eq!(second.stats, first.stats);
+        prop_assert_eq!(second.cached_leaf_hits, first.cached_leaf_hits);
     }
 
     #[test]
@@ -207,16 +196,13 @@ fn trivial_roots_finish_in_one_job() {
 
 #[test]
 fn threads_full_matrix_matches_negmax() {
-    // The exact {1,2,4,8} threads x {1,4,16} batch matrix of the issue, on
-    // one fixed irregular tree: every combination agrees with negamax.
+    // Every worker count in {1,2,4,8} on one fixed irregular tree agrees
+    // with negamax.
     let root = RandomTreeSpec::new(77, 4, 6).root();
     let exact = negmax(&root, 6).value;
     for threads in [1usize, 2, 4, 8] {
-        for batch in [1usize, 4, 16] {
-            let r =
-                run_er_threads_with(&root, 6, threads, batch, &ErParallelConfig::random_tree(3));
-            assert_eq!(r.value, exact, "threads {threads} batch {batch}");
-        }
+        let r = run_er_threads(&root, 6, threads, &ErParallelConfig::random_tree(3));
+        assert_eq!(r.value, exact, "threads {threads}");
     }
 }
 
@@ -235,15 +221,14 @@ fn threads_match_negmax_on_shallow_othello() {
         sel: SelectivityConfig::OFF,
     };
     let exact = negmax(&root, 4).value;
-    for threads in [1usize, 4] {
-        for batch in [1usize, 8] {
-            let r = run_er_threads_with(&root, 4, threads, batch, &cfg);
-            assert_eq!(r.value, exact, "threads {threads} batch {batch}");
-            assert!(
-                r.cached_leaf_hits > 0,
-                "sorted Othello search must settle some leaves from cache"
-            );
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let r = run_er_threads(&root, 4, threads, &cfg);
+        assert_eq!(r.value, exact, "threads {threads}");
+        assert_eq!(r.counters().pos_clones_in_lock, 0);
+        assert!(
+            r.cached_leaf_hits > 0,
+            "sorted Othello search must settle some leaves from cache"
+        );
     }
 }
 
@@ -259,71 +244,10 @@ fn threads_match_negmax_on_shallow_checkers() {
         sel: SelectivityConfig::OFF,
     };
     let exact = negmax(&root, 5).value;
-    for threads in [1usize, 4] {
-        let r = run_er_threads_with(&root, 5, threads, 8, &cfg);
+    for threads in [1usize, 2, 4, 8] {
+        let r = run_er_threads(&root, 5, threads, &cfg);
         assert_eq!(r.value, exact, "threads {threads}");
-    }
-}
-
-/// Every execution-layer combination: both batch policies crossed with
-/// steal on/off.
-fn exec_matrix() -> Vec<ThreadsConfig> {
-    let mut m = Vec::new();
-    for batch in [BatchPolicy::Adaptive, BatchPolicy::Fixed(DEFAULT_BATCH)] {
-        for steal in [false, true] {
-            m.push(ThreadsConfig {
-                batch,
-                steal,
-                pin: None,
-            });
-        }
-    }
-    m
-}
-
-#[test]
-fn exec_matrix_matches_negmax_on_shallow_othello() {
-    // The full {1,2,4,8} x {adaptive, fixed} x {steal on/off} matrix on a
-    // real game with sorted move generation.
-    let (_, root) = othello::configs::all().remove(0);
-    let cfg = ErParallelConfig {
-        serial_depth: 0,
-        order: search_serial::OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
-    let exact = negmax(&root, 4).value;
-    for threads in [1usize, 2, 4, 8] {
-        for exec in exec_matrix() {
-            let r = run_er_threads_exec(&root, 4, threads, &cfg, exec)
-                .expect("unlimited-control run cannot abort");
-            assert_eq!(r.value, exact, "threads {threads} exec {exec:?}");
-            assert_eq!(r.counters().pos_clones_in_lock, 0);
-        }
-    }
-}
-
-#[test]
-fn exec_matrix_matches_negmax_on_shallow_checkers() {
-    // Same matrix on checkers (forced-capture move generation) with a
-    // nonzero serial frontier.
-    let root = checkers::c1();
-    let cfg = ErParallelConfig {
-        serial_depth: 3,
-        order: search_serial::OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
-    let exact = negmax(&root, 5).value;
-    for threads in [1usize, 2, 4, 8] {
-        for exec in exec_matrix() {
-            let r = run_er_threads_exec(&root, 5, threads, &cfg, exec)
-                .expect("unlimited-control run cannot abort");
-            assert_eq!(r.value, exact, "threads {threads} exec {exec:?}");
-            assert_eq!(r.counters().pos_clones_in_lock, 0);
-        }
+        assert_eq!(r.counters().pos_clones_in_lock, 0);
     }
 }
 

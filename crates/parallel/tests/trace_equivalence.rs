@@ -3,17 +3,16 @@
 //!
 //! Root *values* are compared at every thread count — they are
 //! scheduling-independent. Examined-node *counts* are compared only where
-//! the back-end itself is deterministic: one worker, fixed batch, no
-//! stealing (multi-thread node counts vary run to run with OS scheduling,
-//! traced or not, and adaptive batching sizes batches from observed
-//! timings). The serial `*_ctl` twins' exact stats equivalence lives in
+//! the back-end itself is deterministic: one worker, whose schedule is the
+//! 1-processor simulator's (multi-thread node counts vary run to run with
+//! OS scheduling, traced or not). The serial `*_ctl` twins' exact stats equivalence lives in
 //! `search_serial::traced`; the bounded-ring overwrite tests live in
 //! `trace::ring`.
 
 use er_parallel::{
     run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_id, run_er_threads_id_trace,
-    run_er_threads_trace, run_er_threads_trace_tt, BatchPolicy, ErParallelConfig, SearchControl,
-    Speculation, ThreadsConfig,
+    run_er_threads_trace, run_er_threads_trace_tt, ErParallelConfig, SearchControl, Speculation,
+    ThreadsConfig,
 };
 use gametree::random::RandomTreeSpec;
 use proptest::prelude::*;
@@ -50,15 +49,11 @@ proptest! {
 }
 
 #[test]
-fn single_thread_fixed_batch_stats_are_bit_identical() {
-    // One worker, fixed batch, no stealing: the back-end itself is
-    // deterministic, so the equivalence sharpens from root values to the
-    // full stats — examined nodes, evaluator calls, everything.
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(8),
-        steal: false,
-        pin: None,
-    };
+fn single_thread_stats_are_bit_identical() {
+    // One worker: the back-end itself is deterministic, so the equivalence
+    // sharpens from root values to the full stats — examined nodes,
+    // evaluator calls, everything.
+    let exec = ThreadsConfig::default();
     for seed in [0u64, 7, 23] {
         let root = RandomTreeSpec::new(seed, 4, 7).root();
         let cfg = ErParallelConfig::random_tree(3);
@@ -123,6 +118,10 @@ fn traced_tt_matches_untraced_on_othello() {
         .expect("unlimited untraced run cannot abort");
         assert_eq!(traced.value, exact, "threads {threads}");
         assert_eq!(plain.value, exact, "threads {threads}");
+        if threads == 1 {
+            // Deterministic at one worker: equal fresh tables, equal nodes.
+            assert_eq!(traced.stats, plain.stats, "one worker: node counts");
+        }
         let tt_stats = traced.tt.expect("tt run reports table stats");
         let counts = tracer.snapshot().counts();
         assert!(

@@ -4,7 +4,7 @@
 
 use er_parallel::baselines::tree_split::ProcShape;
 use er_parallel::baselines::{run_mwf, run_mwf_tt, run_pv_split, run_pv_split_tt};
-use er_parallel::{run_er_threads, run_er_threads_tt, ErParallelConfig, DEFAULT_BATCH};
+use er_parallel::{run_er_threads, run_er_threads_tt, ErParallelConfig};
 use gametree::random::RandomTreeSpec;
 use gametree::tictactoe::TicTacToe;
 use othello::OthelloPos;
@@ -19,14 +19,7 @@ fn er_threads_tt_matches_negmax_on_random_trees() {
         let exact = negmax(&root, 6).value;
         for threads in [1usize, 2, 4] {
             let table = TranspositionTable::with_bits(14);
-            let r = run_er_threads_tt(
-                &root,
-                6,
-                threads,
-                DEFAULT_BATCH,
-                &ErParallelConfig::random_tree(3),
-                &table,
-            );
+            let r = run_er_threads_tt(&root, 6, threads, &ErParallelConfig::random_tree(3), &table);
             assert_eq!(r.value, exact, "seed {seed} threads {threads}");
             let s = r.tt.expect("tt runner reports stats");
             assert!(s.probes > 0, "seed {seed}: table never probed");
@@ -41,14 +34,7 @@ fn er_threads_tt_survives_tiny_table() {
     let exact = negmax(&root, 7).value;
     let table = TranspositionTable::with_bits(2);
     for threads in [1usize, 4] {
-        let r = run_er_threads_tt(
-            &root,
-            7,
-            threads,
-            DEFAULT_BATCH,
-            &ErParallelConfig::random_tree(3),
-            &table,
-        );
+        let r = run_er_threads_tt(&root, 7, threads, &ErParallelConfig::random_tree(3), &table);
         assert_eq!(r.value, exact, "threads {threads}");
     }
 }
@@ -62,7 +48,6 @@ fn er_threads_tt_hits_on_transposing_game() {
         &TicTacToe::initial(),
         9,
         4,
-        DEFAULT_BATCH,
         &ErParallelConfig::random_tree(5),
         &table,
     );
@@ -77,14 +62,7 @@ fn er_threads_tt_matches_tt_off_on_othello() {
     let depth = 6;
     let off = run_er_threads(&pos, depth, 4, &ErParallelConfig::othello());
     let table = TranspositionTable::with_bits(18);
-    let on = run_er_threads_tt(
-        &pos,
-        depth,
-        4,
-        DEFAULT_BATCH,
-        &ErParallelConfig::othello(),
-        &table,
-    );
+    let on = run_er_threads_tt(&pos, depth, 4, &ErParallelConfig::othello(), &table);
     assert_eq!(on.value, off.value);
     let s = on.tt.expect("tt stats");
     assert!(s.hits > 0, "othello depth {depth} must transpose: {s:?}");
@@ -97,9 +75,9 @@ fn shared_table_across_consecutive_searches_still_exact() {
     let pos = OthelloPos::initial();
     let table = TranspositionTable::with_bits(18);
     let cfg = ErParallelConfig::othello();
-    let first = run_er_threads_tt(&pos, 6, 4, DEFAULT_BATCH, &cfg, &table);
+    let first = run_er_threads_tt(&pos, 6, 4, &cfg, &table);
     table.new_search();
-    let second = run_er_threads_tt(&pos, 6, 4, DEFAULT_BATCH, &cfg, &table);
+    let second = run_er_threads_tt(&pos, 6, 4, &cfg, &table);
     assert_eq!(first.value, second.value);
     let s2 = second.tt.expect("tt stats");
     assert!(s2.hits > 0, "warm table must hit on the re-search: {s2:?}");

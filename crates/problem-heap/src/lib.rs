@@ -7,10 +7,6 @@
 //!
 //! * [`StableQueue`] — deterministic priority queues (the paper's primary
 //!   and speculative queues are built on it);
-//! * [`ws_deque`] — bounded Chase–Lev work-stealing deques, the per-worker
-//!   local queues of the threaded back-end's execution layer;
-//! * [`PublishSlab`] — the lock-free position arena: entries published
-//!   under the heap lock, read from any thread without it;
 //! * [`simulate`]/[`HeapWorker`] — a deterministic discrete-event
 //!   simulation of a k-processor shared-memory machine, the substitution
 //!   for the paper's Sequent Symmetry (see DESIGN.md);
@@ -19,16 +15,12 @@
 
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod metrics;
 pub mod pad;
 pub mod queue;
 pub mod sim;
-pub mod slab;
 
-pub use deque::{ws_deque, WsOwner, WsStealer};
 pub use metrics::{CostModel, SimReport, ThreadCounters};
 pub use pad::CachePadded;
 pub use queue::StableQueue;
 pub use sim::{simulate, HeapWorker, TakenWork};
-pub use slab::PublishSlab;

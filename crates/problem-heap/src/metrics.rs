@@ -49,10 +49,9 @@ impl CostModel {
 /// traffic) and merged after the threads join.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThreadCounters {
-    /// Times the heap/tree mutex was acquired.
+    /// Times the heap/tree mutex was acquired: one per executed job, plus
+    /// each worker's final round that finds the run done.
     pub lock_acquisitions: u64,
-    /// Lock acquisitions that performed a (possibly empty) selection batch.
-    pub select_batches: u64,
     /// Jobs executed outside the lock.
     pub jobs_executed: u64,
     /// Outcomes applied to the shared tree.
@@ -61,24 +60,19 @@ pub struct ThreadCounters {
     pub wakeups: u64,
     /// Times this thread parked on the idle condition variable.
     pub idle_parks: u64,
-    /// Lock-free steal probes against sibling deques.
+    /// Always 0: the threaded back-end has no work stealing. Kept only
+    /// for readers that predate its removal.
     pub steal_attempts: u64,
-    /// Steal probes that came back with a job.
+    /// Always 0 (see [`ThreadCounters::steal_attempts`]).
     pub steal_hits: u64,
     /// Nanoseconds spent blocked waiting to acquire the heap mutex.
     pub lock_wait_nanos: u64,
     /// Nanoseconds the heap mutex was held by this thread.
     pub lock_hold_nanos: u64,
-    /// Position handles published into the lock-free arena (`Arc` refcount
-    /// bumps performed under the lock in place of deep clones).
-    pub arena_publishes: u64,
-    /// Deep position clones performed while the heap mutex was held. The
-    /// execution layer exists to keep this at zero; tests assert it.
+    /// Deep position clones performed while the heap mutex was held. Jobs
+    /// take their position as a refcount bump, so this stays zero; tests
+    /// assert it.
     pub pos_clones_in_lock: u64,
-    /// Adaptive-batch upward adjustments.
-    pub batch_grows: u64,
-    /// Adaptive-batch downward adjustments.
-    pub batch_shrinks: u64,
     /// Jobs whose outcomes were discarded by the abort protocol (deadline,
     /// cancellation, or worker panic) instead of being applied.
     pub jobs_aborted: u64,
@@ -99,7 +93,6 @@ impl ThreadCounters {
     /// Accumulates another thread's counters into this one.
     pub fn merge(&mut self, other: &ThreadCounters) {
         self.lock_acquisitions += other.lock_acquisitions;
-        self.select_batches += other.select_batches;
         self.jobs_executed += other.jobs_executed;
         self.outcomes_applied += other.outcomes_applied;
         self.wakeups += other.wakeups;
@@ -108,10 +101,7 @@ impl ThreadCounters {
         self.steal_hits += other.steal_hits;
         self.lock_wait_nanos += other.lock_wait_nanos;
         self.lock_hold_nanos += other.lock_hold_nanos;
-        self.arena_publishes += other.arena_publishes;
         self.pos_clones_in_lock += other.pos_clones_in_lock;
-        self.batch_grows += other.batch_grows;
-        self.batch_shrinks += other.batch_shrinks;
         self.jobs_aborted += other.jobs_aborted;
         self.re_searches += other.re_searches;
         self.killer_hits += other.killer_hits;
@@ -119,8 +109,8 @@ impl ThreadCounters {
         self.q_extensions += other.q_extensions;
     }
 
-    /// Mean jobs obtained per lock acquisition — the batching win the
-    /// decomposed lock design exists to maximize.
+    /// Mean jobs obtained per lock acquisition (just under 1: one job per
+    /// round).
     pub fn jobs_per_acquisition(&self) -> f64 {
         if self.lock_acquisitions == 0 {
             0.0
@@ -129,8 +119,8 @@ impl ThreadCounters {
         }
     }
 
-    /// Lock acquisitions per executed job — the inverse contention figure
-    /// the scaling experiment minimizes (lower is better).
+    /// Lock acquisitions per executed job (just over 1: one round per job
+    /// plus each worker's exit round).
     pub fn acquisitions_per_job(&self) -> f64 {
         if self.jobs_executed == 0 {
             0.0
@@ -139,7 +129,8 @@ impl ThreadCounters {
         }
     }
 
-    /// Fraction of steal probes that returned a job, in `[0, 1]`.
+    /// Fraction of steal probes that returned a job, in `[0, 1]`; always 0
+    /// (see [`ThreadCounters::steal_attempts`]).
     pub fn steal_hit_rate(&self) -> f64 {
         if self.steal_attempts == 0 {
             0.0
@@ -171,26 +162,19 @@ impl ThreadCounters {
 
 impl std::fmt::Display for ThreadCounters {
     /// One-line contention summary used by the bench output, e.g.
-    /// `acq/job 0.14 | steal 23/410 (5.6%) | park 7/wake 5 | aborted 0 |
-    /// wait 312ns/acq | hold 187ns/acq | batch +3/-1 | re-search 2 |
-    /// ord k4/h9 | qext 0`.
+    /// `acq/job 1.001 | park 7/wake 5 | aborted 0 | wait 312ns/acq |
+    /// hold 187ns/acq | re-search 2 | ord k4/h9 | qext 0`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "acq/job {:.3} | steal {}/{} ({:.1}%) | park {}/wake {} | aborted {} | \
-             wait {:.0}ns/acq | hold {:.0}ns/acq | batch +{}/-{} | re-search {} | \
-             ord k{}/h{} | qext {}",
+            "acq/job {:.3} | park {}/wake {} | aborted {} | wait {:.0}ns/acq | \
+             hold {:.0}ns/acq | re-search {} | ord k{}/h{} | qext {}",
             self.acquisitions_per_job(),
-            self.steal_hits,
-            self.steal_attempts,
-            self.steal_hit_rate() * 100.0,
             self.idle_parks,
             self.wakeups,
             self.jobs_aborted,
             self.mean_lock_wait_nanos(),
             self.mean_lock_hold_nanos(),
-            self.batch_grows,
-            self.batch_shrinks,
             self.re_searches,
             self.killer_hits,
             self.history_hits,
@@ -302,7 +286,6 @@ mod tests {
     fn thread_counters_merge_and_ratio() {
         let mut a = ThreadCounters {
             lock_acquisitions: 10,
-            select_batches: 10,
             jobs_executed: 40,
             outcomes_applied: 40,
             wakeups: 3,
@@ -311,10 +294,7 @@ mod tests {
             steal_hits: 2,
             lock_wait_nanos: 1000,
             lock_hold_nanos: 2000,
-            arena_publishes: 12,
             pos_clones_in_lock: 0,
-            batch_grows: 1,
-            batch_shrinks: 0,
             jobs_aborted: 2,
             re_searches: 4,
             killer_hits: 6,
@@ -323,7 +303,6 @@ mod tests {
         };
         let b = ThreadCounters {
             lock_acquisitions: 5,
-            select_batches: 4,
             jobs_executed: 10,
             outcomes_applied: 10,
             wakeups: 0,
@@ -332,10 +311,7 @@ mod tests {
             steal_hits: 1,
             lock_wait_nanos: 500,
             lock_hold_nanos: 300,
-            arena_publishes: 3,
             pos_clones_in_lock: 0,
-            batch_grows: 0,
-            batch_shrinks: 2,
             jobs_aborted: 1,
             re_searches: 1,
             killer_hits: 3,
@@ -350,10 +326,7 @@ mod tests {
         assert_eq!(a.steal_hits, 3);
         assert_eq!(a.lock_wait_nanos, 1500);
         assert_eq!(a.lock_hold_nanos, 2300);
-        assert_eq!(a.arena_publishes, 15);
         assert_eq!(a.pos_clones_in_lock, 0);
-        assert_eq!(a.batch_grows, 1);
-        assert_eq!(a.batch_shrinks, 2);
         assert_eq!(a.jobs_aborted, 3);
         assert_eq!(a.re_searches, 5);
         assert_eq!(a.killer_hits, 9);
@@ -376,12 +349,8 @@ mod tests {
         let c = ThreadCounters {
             lock_acquisitions: 10,
             jobs_executed: 40,
-            steal_attempts: 8,
-            steal_hits: 2,
             lock_wait_nanos: 1000,
             lock_hold_nanos: 2500,
-            batch_grows: 1,
-            batch_shrinks: 2,
             idle_parks: 7,
             wakeups: 5,
             jobs_aborted: 3,
@@ -390,12 +359,10 @@ mod tests {
         let s = format!("{c}");
         assert!(!s.contains('\n'));
         assert!(s.contains("acq/job 0.250"), "got: {s}");
-        assert!(s.contains("steal 2/8 (25.0%)"), "got: {s}");
         assert!(s.contains("park 7/wake 5"), "got: {s}");
         assert!(s.contains("aborted 3"), "got: {s}");
         assert!(s.contains("wait 100ns/acq"), "got: {s}");
         assert!(s.contains("hold 250ns/acq"), "got: {s}");
-        assert!(s.contains("batch +1/-2"), "got: {s}");
         assert!(s.contains("re-search 0"), "got: {s}");
         assert!(s.contains("ord k0/h0"), "got: {s}");
         assert!(s.contains("qext 0"), "got: {s}");
@@ -408,12 +375,8 @@ mod tests {
         let c = ThreadCounters {
             lock_acquisitions: 10,
             jobs_executed: 40,
-            steal_attempts: 8,
-            steal_hits: 2,
             lock_wait_nanos: 1000,
             lock_hold_nanos: 1500,
-            batch_grows: 1,
-            batch_shrinks: 2,
             idle_parks: 7,
             wakeups: 5,
             jobs_aborted: 3,
@@ -425,15 +388,13 @@ mod tests {
         };
         assert_eq!(
             format!("{c}"),
-            "acq/job 0.250 | steal 2/8 (25.0%) | park 7/wake 5 | aborted 3 | \
-             wait 100ns/acq | hold 150ns/acq | batch +1/-2 | re-search 4 | \
-             ord k6/h2 | qext 1"
+            "acq/job 0.250 | park 7/wake 5 | aborted 3 | wait 100ns/acq | \
+             hold 150ns/acq | re-search 4 | ord k6/h2 | qext 1"
         );
         assert_eq!(
             format!("{}", ThreadCounters::default()),
-            "acq/job 0.000 | steal 0/0 (0.0%) | park 0/wake 0 | aborted 0 | \
-             wait 0ns/acq | hold 0ns/acq | batch +0/-0 | re-search 0 | \
-             ord k0/h0 | qext 0"
+            "acq/job 0.000 | park 0/wake 0 | aborted 0 | wait 0ns/acq | \
+             hold 0ns/acq | re-search 0 | ord k0/h0 | qext 0"
         );
     }
 

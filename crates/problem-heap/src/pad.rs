@@ -7,8 +7,7 @@
 //! a layout property: force each hot location onto its own line.
 //!
 //! [`CachePadded`] is the std-only vehicle for that fix, used by the
-//! Chase–Lev deque (`bottom` and `top` are written by different threads)
-//! and the transposition table's counter stripes. The 64-byte figure is
+//! transposition table's counter stripes. The 64-byte figure is
 //! the line size of every x86-64 and the dominant aarch64 configuration;
 //! on machines with 128-byte lines the padding degrades gracefully to
 //! "two locations per line", which is still strictly better than the

@@ -178,8 +178,6 @@ mod tests {
                 ev(EventKind::JobExecute, 2300, 9000, 5),
                 ev(EventKind::TtProbe, 4000, 0, 1),
                 ev(EventKind::TtStore, 5000, 0, 3),
-                ev(EventKind::StealAttempt, 12000, 0, 1),
-                ev(EventKind::StealHit, 12100, 0, 1),
                 ev(EventKind::Park, 13000, 2000, 0),
                 ev(EventKind::Unpark, 15000, 0, 0),
                 ev(EventKind::AbortTrip, 16000, 0, 1),

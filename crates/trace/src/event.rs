@@ -5,7 +5,7 @@
 //! allocation.
 
 /// Number of declared event kinds ([`EventKind::ALL`] has this length).
-pub const KIND_COUNT: usize = 15;
+pub const KIND_COUNT: usize = 13;
 
 /// The typed events the back-ends record. Span kinds carry a duration;
 /// instant kinds are points in time (`dur_ns == 0`).
@@ -17,38 +17,34 @@ pub enum EventKind {
     JobExecute = 0,
     /// Span: blocked acquiring the shared heap mutex.
     LockWait = 1,
-    /// Span: holding the shared heap mutex (`arg` = jobs refilled).
+    /// Span: holding the shared heap mutex (`arg` = jobs selected, 0 or
+    /// 1).
     LockHold = 2,
-    /// Instant: global queue depth observed at the end of a refill
+    /// Instant: global queue depth observed at the end of a selection
     /// (`arg` = primary + speculative queue length).
     QueueDepth = 3,
-    /// Instant: one lock-free steal probe against a sibling deque
-    /// (`arg` = victim index).
-    StealAttempt = 4,
-    /// Instant: a steal probe that came back with a job (`arg` = victim).
-    StealHit = 5,
     /// Span: parked on the idle condition variable.
-    Park = 6,
+    Park = 4,
     /// Instant: woken from a park.
-    Unpark = 7,
+    Unpark = 5,
     /// Instant: one transposition-table probe (`arg` = 1 on hit, 0 miss).
-    TtProbe = 8,
+    TtProbe = 6,
     /// Instant: one transposition-table store.
-    TtStore = 9,
+    TtStore = 7,
     /// Instant: the iterative-deepening driver launched a depth
     /// (`arg` = depth).
-    IdDepthStart = 10,
+    IdDepthStart = 8,
     /// Instant: a depth completed with an exact value (`arg` = depth).
-    IdDepthFinish = 11,
+    IdDepthFinish = 9,
     /// Instant: the abort protocol was observed tripping
     /// (`arg` = abort-reason discriminant, 0 when unknown).
-    AbortTrip = 12,
+    AbortTrip = 10,
     /// Instant: an aspiration probe failed outside its window and the
     /// driver launched a widened re-search (`arg` = depth).
-    AspirationResearch = 13,
+    AspirationResearch = 11,
     /// Instant: a depth's serial frontier extended unstable horizon leaves
     /// (`arg` = number of quiescence extensions this depth).
-    QExtension = 14,
+    QExtension = 12,
 }
 
 impl EventKind {
@@ -58,8 +54,6 @@ impl EventKind {
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::QueueDepth,
-        EventKind::StealAttempt,
-        EventKind::StealHit,
         EventKind::Park,
         EventKind::Unpark,
         EventKind::TtProbe,
@@ -78,8 +72,6 @@ impl EventKind {
             EventKind::LockWait => "lock-wait",
             EventKind::LockHold => "lock-hold",
             EventKind::QueueDepth => "queue-depth",
-            EventKind::StealAttempt => "steal-attempt",
-            EventKind::StealHit => "steal-hit",
             EventKind::Park => "park",
             EventKind::Unpark => "unpark",
             EventKind::TtProbe => "tt-probe",
@@ -98,7 +90,6 @@ impl EventKind {
             EventKind::JobExecute => "job",
             EventKind::LockWait | EventKind::LockHold => "lock",
             EventKind::QueueDepth => "queue",
-            EventKind::StealAttempt | EventKind::StealHit => "steal",
             EventKind::Park | EventKind::Unpark => "idle",
             EventKind::TtProbe | EventKind::TtStore => "tt",
             EventKind::IdDepthStart | EventKind::IdDepthFinish | EventKind::AspirationResearch => {

@@ -6,7 +6,7 @@
 //! artifacts:
 //!
 //! * [`EventKind`]/[`TraceEvent`] — the typed event schema (spans and
-//!   instants for job execution, lock wait/hold, steals, parks, TT
+//!   instants for job execution, lock wait/hold, parks, TT
 //!   traffic, iterative-deepening depth boundaries, abort trips);
 //! * [`EventRing`] — fixed-capacity overwrite-oldest per-worker storage:
 //!   no allocation and no shared locks on the hot path;

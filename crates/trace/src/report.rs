@@ -77,10 +77,6 @@ pub struct WorkerReport {
     pub lock_hold_ns: u64,
     /// Nanoseconds parked on the idle condvar.
     pub park_ns: u64,
-    /// Steal probes and probes that returned a job.
-    pub steal_attempts: u64,
-    /// Steal probes that returned a job.
-    pub steal_hits: u64,
     /// `busy_ns` over the snapshot wall time.
     pub busy_fraction: f64,
     /// `park_ns` over the snapshot wall time.
@@ -92,7 +88,7 @@ pub struct WorkerReport {
 /// Queue-depth samples collapsed to summary statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueDepthStats {
-    /// Number of samples (one per refill round).
+    /// Number of samples (one per selection round).
     pub samples: u64,
     /// Largest observed combined queue depth.
     pub max: u32,
@@ -191,8 +187,6 @@ impl SearchReport {
                 self.lock_hold.record(ev.dur_ns);
             }
             EventKind::Park => w.park_ns += ev.dur_ns,
-            EventKind::StealAttempt => w.steal_attempts += 1,
-            EventKind::StealHit => w.steal_hits += 1,
             EventKind::QueueDepth => {
                 self.queue_depth.samples += 1;
                 self.queue_depth.max = self.queue_depth.max.max(ev.arg);
@@ -281,8 +275,6 @@ mod tests {
                         ev(EventKind::LockHold, 100, 50, 4),
                         ev(EventKind::QueueDepth, 150, 0, 6),
                         ev(EventKind::JobExecute, 150, 700, 2),
-                        ev(EventKind::StealAttempt, 850, 0, 1),
-                        ev(EventKind::StealHit, 850, 0, 1),
                         ev(EventKind::Park, 860, 140, 0),
                         ev(EventKind::Unpark, 1000, 0, 0),
                     ],
@@ -302,8 +294,6 @@ mod tests {
         assert_eq!(w.busy_ns, 700);
         assert!((w.busy_fraction - 0.7).abs() < 1e-12);
         assert!((w.park_fraction - 0.14).abs() < 1e-12);
-        assert_eq!(w.steal_attempts, 1);
-        assert_eq!(w.steal_hits, 1);
         assert_eq!(r.dropped, 3);
         assert_eq!(r.count_of(EventKind::IdDepthStart), 1);
         assert_eq!(r.lock_wait.count, 1);

@@ -17,7 +17,7 @@
 //!   read most of the time (refreshing every [`AMORTIZE_PERIOD`] instants)
 //!   and spans reuse `Instant`s the execution layer already takes for its
 //!   contention counters, so tracing adds almost no clock traffic to the
-//!   loop the adaptive batcher times.
+//!   worker loop.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ pub trait WorkerTrace {
     fn span_at(&self, kind: EventKind, start: Instant, dur_ns: u64, arg: u32);
 
     /// Records an instant with an amortized timestamp (no clock read on
-    /// most calls) — for high-frequency events like steal probes.
+    /// most calls) — for high-frequency events like TT probes.
     fn instant(&self, kind: EventKind, arg: u32);
 
     /// Records an instant with a fresh clock read — for rare events where
@@ -388,7 +388,7 @@ mod tests {
         const { assert!(!OFF) };
         let w = <() as TraceAccess>::worker((), 0);
         assert_eq!(w.now_ns(), 0);
-        w.instant(EventKind::StealAttempt, 1);
+        w.instant(EventKind::TtProbe, 1);
         w.instant_now(EventKind::AbortTrip, 0);
         w.span(EventKind::JobExecute, 0, 10, 0);
         <() as TraceAccess>::submit((), w);
@@ -422,7 +422,7 @@ mod tests {
         let tracer = Tracer::new();
         let w = (&tracer).worker(0);
         for i in 0..100 {
-            w.instant(EventKind::StealAttempt, i);
+            w.instant(EventKind::TtProbe, i);
         }
         w.instant_now(EventKind::AbortTrip, 0);
         (&tracer).submit(w);

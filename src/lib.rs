@@ -16,9 +16,8 @@
 //! * [`search_serial`] — negmax, alpha-beta (with and without deep
 //!   cutoffs), aspiration, and serial ER (paper Figure 8);
 //! * [`problem_heap`] — deterministic k-processor problem-heap simulation,
-//!   performance metrics, and the threaded back-end's execution
-//!   primitives: bounded work-stealing deques and a lock-free publication
-//!   arena (DESIGN.md §9);
+//!   performance metrics, and the threaded back-end's contention counters
+//!   (DESIGN.md §9);
 //! * [`er_parallel`] — parallel ER (simulated and real threads) plus the
 //!   §4 baselines: MWF, tree-splitting, pv-splitting, parallel aspiration;
 //! * [`tt`] — sharded lockless concurrent transposition table shared by
@@ -56,16 +55,21 @@
 //! assert_eq!(par.value, ab.value);
 //! assert!(par.report.makespan > 0);
 //!
-//! // Parallel ER on 4 real OS threads, batching up to 16 jobs per lock
-//! // acquisition; the result carries per-thread contention counters.
-//! let thr = run_er_threads_with(&root, 8, 4, 16, &ErParallelConfig::random_tree(4));
+//! // Parallel ER on 4 real OS threads, one job per lock acquisition; the
+//! // result carries per-thread contention counters.
+//! let thr = run_er_threads(&root, 8, 4, &ErParallelConfig::random_tree(4));
 //! assert_eq!(thr.value, ab.value);
 //! assert_eq!(thr.counters().jobs_executed, thr.counters().outcomes_applied);
 //!
-//! // Execution-layer knobs (DESIGN.md §9): adaptive batching and
-//! // work stealing are the default, CPU pinning is opt-in (DESIGN.md
-//! // §14 — `pin: Some(PinPolicy::Compact)` to stop worker migration).
-//! let exec = ThreadsConfig { batch: BatchPolicy::Adaptive, steal: true, pin: None };
+//! // One worker repeats the 1-processor simulator's schedule exactly.
+//! let one = run_er_threads(&root, 8, 1, &ErParallelConfig::random_tree(4));
+//! let sim1 = run_er_sim(&root, 8, 1, &ErParallelConfig::random_tree(4));
+//! assert_eq!(one.stats, sim1.stats);
+//!
+//! // The execution layer's one knob (DESIGN.md §9): CPU pinning is
+//! // opt-in (DESIGN.md §14 — `pin: Some(PinPolicy::Compact)` to stop
+//! // worker migration).
+//! let exec = ThreadsConfig { pin: None };
 //! assert_eq!(exec, ThreadsConfig::default());
 //! let ws = run_er_threads_exec(&root, 8, 4, &ErParallelConfig::random_tree(4), exec)
 //!     .expect("no deadline, no panic: cannot abort");
@@ -74,7 +78,7 @@
 //!
 //! // The same run with one transposition table shared by all workers.
 //! let table = TranspositionTable::with_bits(16);
-//! let ttr = run_er_threads_tt(&root, 8, 4, 16, &ErParallelConfig::random_tree(4), &table);
+//! let ttr = run_er_threads_tt(&root, 8, 4, &ErParallelConfig::random_tree(4), &table);
 //! assert_eq!(ttr.value, ab.value);
 //! assert!(ttr.tt.expect("table stats").probes > 0);
 //!
@@ -154,9 +158,9 @@ pub mod prelude {
         run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_id, run_er_threads_id_asp,
         run_er_threads_id_asp_tt, run_er_threads_id_trace, run_er_threads_id_trace_tt,
         run_er_threads_id_tt, run_er_threads_trace, run_er_threads_trace_tt, run_er_threads_tt,
-        run_er_threads_window_ord, run_er_threads_with, AbortReason, AspirationConfig, BatchPolicy,
-        ErIdResult, ErParallelConfig, ErRunResult, ErThreadsResult, PinPolicy, SearchAborted,
-        SearchControl, Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
+        run_er_threads_window_ord, AbortReason, AspirationConfig, ErIdResult, ErParallelConfig,
+        ErRunResult, ErThreadsResult, PinPolicy, SearchAborted, SearchControl, Speculation,
+        ThreadsConfig,
     };
     pub use gametree::ordered::OrderedTreeSpec;
     pub use gametree::random::RandomTreeSpec;
