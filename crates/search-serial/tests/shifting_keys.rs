@@ -5,17 +5,16 @@
 //! from that table. A sort whose comparison reads the keys live then sees
 //! an inconsistent order, which the standard library's sorts may answer
 //! with a panic. The stand-in table here changes its answer on *every*
-//! read — the worst case of that race — and both dynamic-ordering sorts
-//! (`rank_children` and serial ER's expansion) must still finish with a
-//! permutation of the children and leave root values alone.
+//! read — the worst case of that race — and the one dynamic-ordering sort
+//! (`visit_order`, shared by serial ER, alpha-beta and the parallel
+//! engine) must still finish with a permutation of the children and leave
+//! root values alone.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
-use search_serial::{
-    er_search_window_ord, negmax, rank_children, ErConfig, OrdAccess, OrderedChild,
-};
+use search_serial::{er_search_window_ord, negmax, visit_order, ErConfig, OrdAccess, OrderPolicy};
 
 /// An ordering table whose every read returns a fresh pseudo-random key.
 #[derive(Default)]
@@ -49,22 +48,17 @@ impl OrdAccess for &Shifting {
 }
 
 #[test]
-fn rank_children_survives_keys_that_change_on_every_read() {
+fn visit_order_survives_keys_that_change_on_every_read() {
     let ord = Shifting::default();
-    for len in [2u16, 20, 33, 100, 1000] {
+    for len in [2u32, 20, 33, 100, 1000] {
+        let root = RandomTreeSpec::new(u64::from(len), len, 1).root();
         for _ in 0..50 {
-            let mut kids: Vec<OrderedChild<()>> = (0..len)
-                .map(|nat| OrderedChild {
-                    nat,
-                    pos: (),
-                    static_eval: None,
-                })
-                .collect();
-            rank_children(&mut kids, 0, &ord);
+            let mut stats = gametree::SearchStats::new();
+            let (kids, _) = visit_order(&root, 0, OrderPolicy::NATURAL, None, &ord, &mut stats);
             let mut nats: Vec<u16> = kids.iter().map(|k| k.nat).collect();
             nats.sort_unstable();
             assert!(
-                nats.iter().copied().eq(0..len),
+                nats.iter().copied().eq(0..len as u16),
                 "len {len}: not a permutation"
             );
         }
