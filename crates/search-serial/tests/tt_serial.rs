@@ -4,8 +4,10 @@
 //! generations, and tiny tables that evict constantly.
 
 use gametree::ordered::OrderedTreeSpec;
+use gametree::random::splitmix64;
 use gametree::tictactoe::TicTacToe;
-use gametree::Value;
+use gametree::{GamePosition, Value};
+use othello::OthelloPos;
 use search_serial::{
     alphabeta, alphabeta_tt, aspiration, aspiration_tt, er_search, er_search_tt, negmax, negmax_tt,
     pvs, pvs_tt, ErConfig, OrderPolicy,
@@ -126,6 +128,40 @@ fn generation_aging_keeps_later_searches_correct() {
         assert_eq!(
             er_search_tt(&root, 6, ErConfig::NATURAL, &table).value,
             exact
+        );
+    }
+}
+
+/// An Othello midgame root: `16 + (seed mix) % 9` uniformly random moves
+/// from the initial position, `None` if the walk ends the game.
+fn othello_midgame(seed: u64) -> Option<OthelloPos> {
+    let mut s = splitmix64(seed);
+    let plies = 16 + s % 9;
+    let mut p = OthelloPos::initial();
+    for _ in 0..plies {
+        let moves = p.moves();
+        if moves.is_empty() {
+            return None;
+        }
+        s = splitmix64(s);
+        p = p.play(&moves[(s % moves.len() as u64) as usize]);
+    }
+    (!p.moves().is_empty()).then_some(p)
+}
+
+#[test]
+fn er_with_a_fresh_table_matches_alphabeta_on_othello_midgames() {
+    // Of the first 150 walks, these two gave wrong depth-7 values while
+    // Refute_rest kept searching after its retained tentative value met
+    // beta: the children ran under an empty window, their fail-hard values
+    // were stored as lower bounds, and a transposition cut off on them.
+    for seed in [46, 116] {
+        let root = othello_midgame(seed).expect("a live midgame");
+        let table = TranspositionTable::with_bits(16);
+        assert_eq!(
+            er_search_tt(&root, 7, ErConfig::OTHELLO, &table).value,
+            alphabeta(&root, 7, OrderPolicy::OTHELLO).value,
+            "walk {seed}"
         );
     }
 }
