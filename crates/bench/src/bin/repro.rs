@@ -503,16 +503,17 @@ fn ordering() {
     // megabytes however deep the aspiration driver re-searches.
     const EXPORT_RING_CAPACITY: usize = 2048;
     let tracer = trace::Tracer::with_capacity(EXPORT_RING_CAPACITY);
-    let traced = er_parallel::run_er_threads_id_asp_trace_tt(
+    let traced = er_parallel::run_er_threads_id(
         &o1.root,
         o1.depth,
         2,
         &cfg,
         er_parallel::ThreadsConfig::default(),
-        &table,
         er_parallel::AspirationConfig::narrow(DYN_ORDERING_DELTA_TIGHT),
-        &er_parallel::SearchControl::unlimited(),
-        &tracer,
+        er_parallel::Hooks::new()
+            .tt(&table)
+            .ctl(&er_parallel::SearchControl::unlimited())
+            .trace(&tracer),
     );
     let data = tracer.snapshot();
     let report = trace::SearchReport::from_data(&data);
@@ -1222,14 +1223,16 @@ fn mech() {
     backends.push(("er-sim".to_string(), 4, sim.value));
     let tracer = trace::Tracer::new();
     for &k in &workers {
-        let r = er_parallel::run_er_threads_trace(
+        let r = er_parallel::run_er_threads_with(
             &o1.root,
             o1.depth,
+            gametree::Window::FULL,
             k,
             &cfg,
             er_parallel::ThreadsConfig::default(),
-            &er_parallel::SearchControl::unlimited(),
-            &tracer,
+            er_parallel::Hooks::new()
+                .ctl(&er_parallel::SearchControl::unlimited())
+                .trace(&tracer),
         )
         .expect("unlimited-control run cannot abort");
         backends.push(("er-threads".to_string(), k, r.value));
@@ -1237,13 +1240,14 @@ fn mech() {
         let pinned = er_parallel::ThreadsConfig {
             pin: Some(er_parallel::PinPolicy::Compact),
         };
-        let rp = er_parallel::run_er_threads_ctl(
+        let rp = er_parallel::run_er_threads_with(
             &o1.root,
             o1.depth,
+            gametree::Window::FULL,
             k,
             &cfg,
             pinned,
-            &er_parallel::SearchControl::unlimited(),
+            er_parallel::Hooks::new().ctl(&er_parallel::SearchControl::unlimited()),
         )
         .expect("unlimited-control run cannot abort");
         backends.push(("er-threads-pinned".to_string(), k, rp.value));

@@ -654,7 +654,7 @@ fn sim_id_run<P: GamePosition>(
     ordering: bool,
     delta: i32,
 ) -> SimIdRun {
-    use er_parallel::run_er_sim_window_ord;
+    use er_parallel::{run_er_sim_with, Hooks};
     use gametree::Window;
     use search_serial::OrderingTables;
 
@@ -681,9 +681,9 @@ fn sim_id_run<P: GamePosition>(
         };
         let run = |w: Window, out: &mut SimIdRun| {
             let r = if ordering {
-                run_er_sim_window_ord(root, depth, w, workers, cfg, (), &tables)
+                run_er_sim_with(root, depth, w, workers, cfg, Hooks::new().ord(&tables))
             } else {
-                run_er_sim_window_ord(root, depth, w, workers, cfg, (), ())
+                run_er_sim_with(root, depth, w, workers, cfg, Hooks::new())
             };
             out.nodes += r.stats.nodes();
             out.killer_hits += r.stats.killer_hits;
@@ -1125,7 +1125,7 @@ fn deadline_anytime_row<P: GamePosition>(
     threads: usize,
     budget: Option<std::time::Duration>,
 ) -> DeadlineRow {
-    use er_parallel::{run_er_threads_id, SearchControl, ThreadsConfig};
+    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl, ThreadsConfig};
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1143,7 +1143,8 @@ fn deadline_anytime_row<P: GamePosition>(
         threads,
         &cfg,
         ThreadsConfig::default(),
-        &ctl,
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&ctl),
     );
     let elapsed_ms = id.elapsed.as_secs_f64() * 1e3;
     let grace_ms = match budget {
@@ -1167,7 +1168,10 @@ fn deadline_anytime_row<P: GamePosition>(
 }
 
 fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> DeadlineRow {
-    use er_parallel::{run_er_threads_exec, run_er_threads_id, SearchControl, ThreadsConfig};
+    use er_parallel::{
+        run_er_threads_exec, run_er_threads_id, AspirationConfig, Hooks, SearchControl,
+        ThreadsConfig,
+    };
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1189,7 +1193,8 @@ fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) ->
         threads,
         &cfg,
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&SearchControl::unlimited()),
     );
     assert_eq!(
         id.value, fixed.value,
@@ -1298,7 +1303,8 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
     threads: usize,
     bits: u32,
 ) -> TtRow {
-    use er_parallel::{run_er_sim_tt, run_er_threads, run_er_threads_tt};
+    use er_parallel::{run_er_sim_with, run_er_threads, run_er_threads_with, Hooks, ThreadsConfig};
+    use gametree::Window;
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -1314,7 +1320,14 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             (r.value, r.stats, tt::TtStats::default(), 0.0)
         }
         ("sim", _) => {
-            let r = run_er_sim_tt(root, depth, threads, &cfg, &table);
+            let r = run_er_sim_with(
+                root,
+                depth,
+                Window::FULL,
+                threads,
+                &cfg,
+                Hooks::new().tt(&table),
+            );
             (r.value, r.stats, table.stats(), 0.0)
         }
         (_, 0) => {
@@ -1327,7 +1340,16 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             )
         }
         _ => {
-            let r = run_er_threads_tt(root, depth, threads, &cfg, &table);
+            let r = run_er_threads_with(
+                root,
+                depth,
+                Window::FULL,
+                threads,
+                &cfg,
+                ThreadsConfig::default(),
+                Hooks::new().tt(&table),
+            )
+            .expect("a run without a control cannot abort");
             (
                 r.value,
                 r.stats,
@@ -1462,7 +1484,10 @@ pub struct TraceRow {
 /// untraced runs agree with serial alpha-beta, and collapses each run's
 /// snapshot into a [`TraceRow`].
 pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
-    use er_parallel::{run_er_threads_exec, run_er_threads_trace, SearchControl, ThreadsConfig};
+    use er_parallel::{
+        run_er_threads_exec, run_er_threads_with, Hooks, SearchControl, ThreadsConfig,
+    };
+    use gametree::Window;
     use trace::{EventKind, SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
     let cfg = ErParallelConfig {
@@ -1477,14 +1502,14 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
         .iter()
         .map(|&threads| {
             let tracer = Tracer::new();
-            let traced = run_er_threads_trace(
+            let traced = run_er_threads_with(
                 &spec.root,
                 spec.depth,
+                Window::FULL,
                 threads,
                 &cfg,
                 ThreadsConfig::default(),
-                &SearchControl::unlimited(),
-                &tracer,
+                Hooks::new().ctl(&SearchControl::unlimited()).trace(&tracer),
             )
             .expect("unlimited traced run cannot abort");
             let plain = run_er_threads_exec(
@@ -1589,10 +1614,7 @@ pub struct ChromeExport {
 /// on the returned export are about event structure, never timing
 /// margins.
 pub fn chrome_export(threads: usize) -> ChromeExport {
-    use er_parallel::{
-        run_er_threads_id_asp_trace_tt, run_er_threads_id_trace_tt, AspirationConfig,
-        SearchControl, ThreadsConfig,
-    };
+    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl, ThreadsConfig};
     use std::time::Duration;
     use trace::{SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
@@ -1624,28 +1646,28 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         // with (and may be partly overwritten by) the R1 run's, but
         // AspirationResearch and QExtension live on the driver row,
         // whose handful of instants the ring never evicts.
-        let _ = run_er_threads_id_asp_trace_tt(
+        let _ = run_er_threads_id(
             &o1.root,
             3,
             threads,
             &sel_cfg,
             ThreadsConfig::default(),
-            &tt::TranspositionTable::with_bits(14),
             AspirationConfig::narrow(1),
-            &SearchControl::unlimited(),
-            &tracer,
+            Hooks::new()
+                .tt(&tt::TranspositionTable::with_bits(14))
+                .ctl(&SearchControl::unlimited())
+                .trace(&tracer),
         );
         let table = tt::TranspositionTable::with_bits(16);
         let ctl = SearchControl::with_budget(Duration::from_millis(budget));
-        let _ = run_er_threads_id_trace_tt(
+        let _ = run_er_threads_id(
             &spec.root,
             spec.depth,
             threads,
             &cfg,
             ThreadsConfig::default(),
-            &table,
-            &ctl,
-            &tracer,
+            AspirationConfig::OFF,
+            Hooks::new().tt(&table).ctl(&ctl).trace(&tracer),
         );
         let data = tracer.snapshot();
         missing = data.kinds_missing();

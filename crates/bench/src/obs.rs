@@ -25,9 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engine_server::AnyPos;
-use er_parallel::{
-    run_er_threads_window_ord_metrics, ErParallelConfig, SearchControl, ThreadsConfig,
-};
+use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks, SearchControl, ThreadsConfig};
 use gametree::Window;
 use match_harness::{run_match_with, EngineSpec, Family, MatchConfig};
 use metrics::{EngineMetrics, MetricsAccess};
@@ -133,18 +131,14 @@ fn probe<M: MetricsAccess>(pos: &AnyPos, depth: u32, mx: M) -> (i32, u64, Durati
     let mut cfg = ErParallelConfig::random_tree(3);
     cfg.spec = er_parallel::Speculation::NONE;
     let t0 = Instant::now();
-    let r = run_er_threads_window_ord_metrics(
+    let r = run_er_threads_with(
         pos,
         depth,
         Window::FULL,
         1,
         &cfg,
         ThreadsConfig::default(),
-        (),
-        &ctl,
-        (),
-        (),
-        mx,
+        Hooks::new().ctl(&ctl).metrics(mx),
     )
     .expect("an unlimited probe search cannot abort");
     (r.value.get(), r.stats.nodes(), t0.elapsed())

@@ -57,10 +57,10 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use er_parallel::{
-    run_er_threads_window_ord_metrics, AbortReason, ErParallelConfig, IdStepper, SearchControl,
+    run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
     ThreadsConfig,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
@@ -341,10 +341,9 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         }
     }
 
-    /// Index of the next session to slice: least virtual time, ties to the
-    /// lowest id so replays are deterministic.
+    /// Index of the next session to slice (see [`next_slice`]).
     fn pick(&self) -> Option<usize> {
-        (0..self.active.len()).min_by_key(|&i| (self.active[i].vtime, self.active[i].id))
+        next_slice(self.active.iter().map(|s| (s.vtime, s.id)))
     }
 
     /// Runs one depth slice of `active[idx]`, folding the outcome into the
@@ -392,27 +391,19 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         let depth = sess.stepper.next_depth();
         let ord = sess.ordering.then_some(&self.ord);
         let mx = self.metrics.as_deref();
-        let (pos, threads, cfg, exec, table) = (
-            &sess.pos,
-            self.cfg.threads,
-            &sess.cfg,
-            self.cfg.exec,
-            &self.table,
-        );
+        let (pos, threads, cfg, exec) = (&sess.pos, self.cfg.threads, &sess.cfg, self.cfg.exec);
+        let hooks = Hooks::new().tt(&self.table).ord(ord).metrics(mx);
         let step = match &sess.tracer {
             Some(t) => sess.stepper.step_with(depth, &ctl, Some(t), |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, exec, table, c, t, ord, mx)
+                slice_search(pos, d, w, threads, cfg, exec, hooks.ctl(c).trace(t))
             }),
             None => sess.stepper.step_with(depth, &ctl, None, |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, exec, table, c, (), ord, mx)
+                slice_search(pos, d, w, threads, cfg, exec, hooks.ctl(c))
             }),
         };
         sess.slices += 1;
         let slice_elapsed = start.elapsed();
-        sess.vtime = sess.vtime.saturating_add(
-            (slice_elapsed.as_nanos() / u128::from(sess.priority.weight()))
-                .min(u128::from(u64::MAX)) as u64,
-        );
+        sess.vtime = charged(sess.vtime, slice_elapsed, sess.priority);
         if let Some(m) = &self.metrics {
             m.server_slice_ns.record(0, slice_elapsed.as_nanos() as u64);
         }
@@ -474,10 +465,23 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
     }
 }
 
+/// The stride rule's pick: the position of the least `(vtime, id)` key,
+/// so the session with the least virtual time runs next and ties go to
+/// the lowest id, which keeps replays deterministic.
+fn next_slice(keys: impl Iterator<Item = (u64, SessionId)>) -> Option<usize> {
+    keys.enumerate().min_by_key(|&(_, k)| k).map(|(i, _)| i)
+}
+
+/// The stride rule's charge: a slice of `elapsed` wall time advances a
+/// session's virtual time by `elapsed / weight`.
+fn charged(vtime: u64, elapsed: Duration, priority: Priority) -> u64 {
+    let ns = elapsed.as_nanos() / u128::from(priority.weight());
+    vtime.saturating_add(ns.min(u128::from(u64::MAX)) as u64)
+}
+
 /// One windowed fixed-depth search — the body of every slice. Generic over
 /// the trace and metrics handles; the optional shared ordering tables are
 /// erased here so the caller needs no type-level branching.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: MetricsAccess>(
     pos: &P,
     depth: u32,
@@ -485,29 +489,11 @@ pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: Metrics
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-    tr: R,
-    ord: Option<&OrderingTables>,
-    mx: M,
+    hooks: Hooks<&TranspositionTable, &SearchControl, Option<&OrderingTables>, R, M>,
 ) -> Result<(Value, SearchStats), AbortReason> {
-    match ord {
-        Some(o) => run_er_threads_window_ord_metrics(
-            pos, depth, window, threads, cfg, exec, table, ctl, tr, o, mx,
-        ),
-        None => run_er_threads_window_ord_metrics(
-            pos,
-            depth,
-            window,
-            threads,
-            cfg,
-            exec,
-            table,
-            ctl,
-            tr,
-            (),
-            mx,
-        ),
+    match hooks.ord {
+        Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks.ord(o)),
+        None => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks.ord(())),
     }
     .map(|r| (r.value, r.stats))
     .map_err(|e| e.reason)
@@ -555,7 +541,6 @@ pub fn serve_batch_on<P: GamePosition + Zobrist>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn random_req(seed: u64, depth: u32) -> SessionRequest<crate::AnyPos> {
         SessionRequest::new(
@@ -563,6 +548,37 @@ mod tests {
             depth,
             ErParallelConfig::random_tree(2),
         )
+    }
+
+    #[test]
+    fn stride_rule_serves_interactive_four_slices_per_batch_slice() {
+        // Two sessions of equal work, 8 slices of a fixed 1 ms each, fed
+        // through the scheduler's own pick and charge. The batch session
+        // holds the lower id, so every tie favours it.
+        const WORK: u32 = 8;
+        let slice = Duration::from_millis(1);
+        // (priority, id, vtime, slices run)
+        let mut runnable = vec![
+            (Priority::Batch, SessionId(0), 0u64, 0u32),
+            (Priority::Interactive, SessionId(1), 0, 0),
+        ];
+        let mut finished = Vec::new();
+        while let Some(i) = next_slice(runnable.iter().map(|s| (s.2, s.1))) {
+            let s = &mut runnable[i];
+            s.2 = charged(s.2, slice, s.0);
+            s.3 += 1;
+            if s.3 == WORK {
+                let done = runnable.remove(i);
+                // Slices the other session had run by then.
+                let peer = runnable.first().map_or(WORK, |p| p.3);
+                finished.push((done.0, peer));
+            }
+        }
+        assert_eq!(
+            finished,
+            [(Priority::Interactive, WORK / 4), (Priority::Batch, WORK)],
+            "weight 4 against weight 1: four interactive slices per batch slice"
+        );
     }
 
     #[test]

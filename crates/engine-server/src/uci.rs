@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
-use er_parallel::{AspirationConfig, IdStepper, SearchControl, ThreadsConfig};
+use er_parallel::{AspirationConfig, Hooks, IdStepper, SearchControl, ThreadsConfig};
 use gametree::{GamePosition, SearchStats, Value};
 use metrics::EngineMetrics;
 use search_serial::alphabeta;
@@ -338,11 +338,7 @@ fn search<W: Write + Send>(
                     cfg.threads,
                     &er_cfg(pos),
                     ThreadsConfig::default(),
-                    table,
-                    c,
-                    (),
-                    None,
-                    m,
+                    Hooks::new().tt(table).ctl(c).ord(None).metrics(m),
                 )?;
                 stats.merge(&s);
                 let v = -v;

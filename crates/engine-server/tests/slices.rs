@@ -93,29 +93,29 @@ fn budget_bounds_latency_even_through_the_queue() {
     assert!(tight.queue_wait <= tight.latency);
 }
 
-/// Weighted fairness, observed end-to-end: with one slot and equal work,
-/// an interactive session (weight 4) must never receive *less* service
-/// than a batch session (weight 1) while both are runnable — checked via
-/// completion order, which stride scheduling fully determines here.
+/// Weighted peers on one slot: an interactive session (weight 4) and a
+/// batch session (weight 1) on the same tree both finish, with the same
+/// value. Which finishes first is not asserted here: whichever session
+/// reaches a depth second reads the other's entries in the shared table,
+/// so the two do unequal work and their order follows slice timing. The
+/// stride rule itself is pinned on fixed charges by the scheduler's unit
+/// test `stride_rule_serves_interactive_four_slices_per_batch_slice`.
 #[test]
-fn interactive_sessions_finish_ahead_of_batch_peers() {
+fn weighted_peers_both_finish_with_equal_values() {
     let mut s: SessionScheduler<AnyPos> = SessionScheduler::new(SchedulerConfig {
         threads: 1,
         max_active: 8,
         ..SchedulerConfig::default()
     });
-    // Same tree, same depth: identical work, different weights. Batch
-    // first so id-order ties cannot favour the interactive one.
     s.submit(req(7, 5).with_priority(Priority::Batch)).unwrap();
     s.submit(req(7, 5).with_priority(Priority::Interactive))
         .unwrap();
     let results = s.run_until_idle();
     assert_eq!(results.len(), 2);
-    assert_eq!(
-        results[0].priority,
-        Priority::Interactive,
-        "the weight-4 session should complete first on equal work"
-    );
+    let mut classes: Vec<Priority> = results.iter().map(|r| r.priority).collect();
+    classes.sort_by_key(|p| p.index());
+    assert_eq!(classes, [Priority::Interactive, Priority::Batch]);
+    assert!(results.iter().all(|r| r.completed()), "both reach depth 5");
     assert_eq!(results[0].value, results[1].value, "same tree, same value");
 }
 

@@ -13,8 +13,8 @@
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::CostModel;
-use search_serial::alphabeta::alphabeta_window;
 use search_serial::ordering::OrderPolicy;
+use search_serial::{alphabeta_with, Hooks};
 
 /// Result of a simulated parallel aspiration run.
 #[derive(Clone, Copy, Debug)]
@@ -84,7 +84,7 @@ pub fn run_aspiration_guess<P: GamePosition>(
         };
         let beta = if i == k - 1 { Value::INF } else { bounds[i] };
         let w = Window::new(alpha, beta);
-        let r = alphabeta_window(pos, depth, w, order);
+        let r = alphabeta_with(pos, depth, w, order, Hooks::new());
         total.merge(&r.stats);
         let ticks = cost.serial_ticks(&r.stats);
         if value.is_some() {
@@ -96,13 +96,13 @@ pub fn run_aspiration_guess<P: GamePosition>(
         } else if r.value <= w.alpha && i == 0 {
             // The leftmost window is half-open below: a fail-low here can
             // only be the boundary value itself; confirm it.
-            let re = alphabeta_window(pos, depth, Window::FULL, order);
+            let re = alphabeta_with(pos, depth, Window::FULL, order, Hooks::new());
             total.merge(&re.stats);
             value = Some(re.value);
             makespan = ticks + cost.serial_ticks(&re.stats);
         } else if r.value >= w.beta && i == k - 1 {
             // Symmetric case at the rightmost window.
-            let re = alphabeta_window(pos, depth, Window::FULL, order);
+            let re = alphabeta_with(pos, depth, Window::FULL, order, Hooks::new());
             total.merge(&re.stats);
             value = Some(re.value);
             makespan = ticks + cost.serial_ticks(&re.stats);
@@ -114,7 +114,7 @@ pub fn run_aspiration_guess<P: GamePosition>(
     let value = match value {
         Some(v) => v,
         None => {
-            let re = alphabeta_window(pos, depth, Window::FULL, order);
+            let re = alphabeta_with(pos, depth, Window::FULL, order, Hooks::new());
             total.merge(&re.stats);
             makespan += cost.serial_ticks(&re.stats);
             re.value

@@ -10,8 +10,8 @@
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::CostModel;
-use search_serial::alphabeta::alphabeta_window;
 use search_serial::ordering::{ordered_children, OrderPolicy};
+use search_serial::{alphabeta_with, Hooks};
 
 /// Result of a naive root-partition run.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +56,7 @@ pub fn run_root_split<P: GamePosition>(
     let mut loads = vec![cost.expand; k];
     let mut value = Value::NEG_INF;
     for (i, child) in kids.iter().enumerate() {
-        let r = alphabeta_window(child, depth - 1, Window::FULL, order);
+        let r = alphabeta_with(child, depth - 1, Window::FULL, order, Hooks::new());
         stats.merge(&r.stats);
         loads[i % k] += cost.serial_ticks(&r.stats);
         value = value.max(-r.value);

@@ -26,8 +26,9 @@ use std::sync::Arc;
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::{simulate, HeapWorker, StableQueue, TakenWork};
 use search_serial::control::CtlAccess;
-use search_serial::er::{er_eval_refute_ord, er_search_window_ord, ErConfig};
+use search_serial::er::{er_eval_refute_with, er_search_with, ErConfig};
 use search_serial::ordering::{visit_order, OrdAccess, OrderPolicy};
+use search_serial::Hooks;
 use tt::{Bound, TtAccess};
 
 use super::{ErParallelConfig, ErRunResult};
@@ -248,10 +249,11 @@ pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>
             refute,
         } => {
             let pos = pos.expect("serial task reads its position");
+            let hooks = Hooks::new().tt(tt).ctl(ctl).ord(ord);
             let r = if refute {
-                er_eval_refute_ord(pos, depth, window, cfg, ply, tt, ctl, ord)
+                er_eval_refute_with(pos, depth, window, cfg, ply, hooks)
             } else {
-                er_search_window_ord(pos, depth, window, cfg, ply, tt, ctl, ord)
+                er_search_with(pos, depth, window, cfg, ply, hooks)
             };
             if !r.is_complete() {
                 return Outcome::Aborted;
@@ -978,70 +980,34 @@ pub fn run_er_sim<P: GamePosition>(
     processors: usize,
     cfg: &ErParallelConfig,
 ) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, (), ())
+    run_er_sim_with(pos, depth, Window::FULL, processors, cfg, Hooks::new())
 }
 
-/// Runs simulated parallel ER with every virtual processor sharing
-/// `table`. Unlike the threaded back-end, the simulation is
-/// deterministic: the same configuration and table size always examines
-/// the same nodes, so TT-on vs TT-off node counts compare exactly.
-pub fn run_er_sim_tt<P: GamePosition + tt::Zobrist>(
-    pos: &P,
-    depth: u32,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    table: &tt::TranspositionTable,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, table, ())
-}
-
-/// [`run_er_sim`] with shared killer/history tables ranking non-e-node
-/// children and the serial frontier. Node counts change (that is the
-/// point); the root value does not. Still fully deterministic: one OS
-/// thread updates the tables in a fixed job order, so the same
-/// configuration always examines the same nodes.
-pub fn run_er_sim_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, tt, ord)
-}
-
-/// [`run_er_sim_ord`] with an explicit root window (the aspiration
-/// driver's probe). The result is exact only inside `window`; outside it
-/// is a fail-hard bound in the failing direction.
-pub fn run_er_sim_window_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
+/// Simulated parallel ER under a root `window`, with every virtual
+/// processor sharing the table and ordering handles of `hooks`. The
+/// simulator has no control, trace or metrics slot.
+///
+/// With a narrowed `window` (the aspiration driver's probe) the result is
+/// exact only inside it; outside it is a fail-hard bound in the failing
+/// direction. Every configuration is deterministic: one OS thread runs
+/// the jobs, and updates the shared tables, in a fixed order, so the same
+/// configuration and table size always examine the same nodes and TT-on
+/// vs TT-off (or ordering-on vs off) node counts compare exactly. Node
+/// counts change with the handles; the root value does not.
+pub fn run_er_sim_with<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
     pos: &P,
     depth: u32,
     window: Window,
     processors: usize,
     cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, window, processors, cfg, tt, ord)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_er_sim_gen<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
+    hooks: Hooks<T, (), O>,
 ) -> ErRunResult {
     let mut adapter = SimAdapter {
         worker: ErWorker::new_windowed(pos.clone(), depth, window, *cfg),
         inflight: Vec::new(),
         trace: Vec::new(),
-        tt,
-        ord,
+        tt: hooks.tt,
+        ord: hooks.ord,
     };
     let report = simulate(&mut adapter, processors, cfg.cost.heap_latency);
     ErRunResult {

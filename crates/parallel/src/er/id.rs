@@ -22,15 +22,13 @@
 use std::time::{Duration, Instant};
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use trace::{EventKind, Tracer};
-use tt::{TranspositionTable, Zobrist};
+use metrics::MetricsAccess;
+use trace::{EventKind, TraceAccess, Tracer};
+use tt::TtAccess;
 
-use search_serial::OrderingTables;
+use search_serial::{CtlToken, Hooks, OrderingTables};
 
-use super::threads::{
-    run_er_threads_ctl, run_er_threads_ctl_tt, run_er_threads_trace, run_er_threads_trace_tt,
-    run_er_threads_window_ord, ThreadsConfig,
-};
+use super::threads::{run_er_threads_with, ThreadsConfig};
 use super::ErParallelConfig;
 use crate::control::{AbortReason, SearchControl};
 
@@ -65,10 +63,10 @@ pub struct ErIdResult {
     /// Total wall-clock time across all iterations.
     pub elapsed: Duration,
     /// Aspiration probes that landed strictly inside their narrowed window
-    /// (no re-search needed). Always 0 for the full-window drivers.
+    /// (no re-search needed). Always 0 without aspiration windows.
     pub window_hits: u64,
     /// Widened re-searches launched after a probe failed outside its
-    /// window. Always 0 for the full-window drivers.
+    /// window. Always 0 without aspiration windows.
     pub re_searches: u64,
 }
 
@@ -81,141 +79,96 @@ impl ErIdResult {
 
 /// Anytime iterative deepening: searches `pos` at depths `1..=max_depth`
 /// with the threaded back-end, all under the single deadline (or
-/// cancellation token) carried by `ctl`.
+/// cancellation token) in the control slot of `hooks`.
+///
+/// Depth 1 runs under the full window. With `asp.delta > 0` each later
+/// depth first probes a window of `±asp.delta` around the previous depth's
+/// root value. A probe that lands inside its window is exact and cheap
+/// (the narrow bounds prune harder everywhere); one that fails high or
+/// low is re-searched once with the failed side opened, which is exact in
+/// one pass under fail-hard clamping. With `asp.ordering` one shared
+/// [`OrderingTables`] ranks children at every depth, and history ages at
+/// each depth bump so stale credit decays. That flag is the driver's
+/// only ordering switch, so `hooks` has no ordering slot here.
+///
+/// With a table attached, each depth starts a new table generation
+/// ([`TranspositionTable::new_generation`](tt::TranspositionTable::new_generation))
+/// once, before its probe and never again for the re-search: earlier
+/// iterations' entries age — still probe-able as move hints and
+/// equal-depth answers, but losing replacement priority to fresh work.
+/// With a [`Tracer`] attached, the driver row records an
+/// [`EventKind::IdDepthStart`]/[`IdDepthFinish`] instant pair per depth,
+/// one [`EventKind::AspirationResearch`] instant per widened re-search,
+/// an [`EventKind::QExtension`] instant per depth whose serial frontier
+/// extended unstable leaves, and an [`EventKind::AbortTrip`] when
+/// deepening stops early.
 ///
 /// Returns after the first iteration that fails to complete — or after
 /// `max_depth` — with the deepest completed root value. The value of an
 /// interrupted iteration is discarded entirely; it never contaminates the
 /// result.
-pub fn run_er_threads_id<P: GamePosition>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    ctl: &SearchControl,
-) -> ErIdResult {
-    run_id_gen(pos, max_depth, ctl, |depth, ctl| {
-        run_er_threads_ctl(pos, depth, threads, cfg, exec, ctl)
-            .map(|r| (r.value, r.stats))
-            .map_err(|e| e.reason)
-    })
-}
-
-/// [`run_er_threads_id`] with all iterations sharing `table`. Each depth
-/// starts a new table generation ([`TranspositionTable::new_search`]), so
-/// earlier iterations' entries age — still probe-able as move hints and
-/// equal-depth answers, but losing replacement priority to fresh work.
-pub fn run_er_threads_id_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-) -> ErIdResult {
-    run_id_gen(pos, max_depth, ctl, |depth, ctl| {
-        table.new_search();
-        run_er_threads_ctl_tt(pos, depth, threads, cfg, exec, table, ctl)
-            .map(|r| (r.value, r.stats))
-            .map_err(|e| e.reason)
-    })
-}
-
-/// [`run_er_threads_id`] with a [`Tracer`] attached: each iteration's
-/// worker activity lands on the same per-worker timeline rows, and the
-/// driver row records an [`EventKind::IdDepthStart`]/[`IdDepthFinish`]
-/// instant pair per depth plus an [`EventKind::AbortTrip`] when deepening
-/// stops early.
 ///
 /// [`IdDepthFinish`]: EventKind::IdDepthFinish
-pub fn run_er_threads_id_trace<P: GamePosition>(
+pub fn run_er_threads_id<P, T, C, R, M>(
     pos: &P,
     max_depth: u32,
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> ErIdResult {
-    let r = run_id_gen(pos, max_depth, ctl, |depth, ctl| {
-        tracer.driver_instant(EventKind::IdDepthStart, depth);
-        let r = run_er_threads_trace(pos, depth, threads, cfg, exec, ctl, tracer)
-            .map(|r| (r.value, r.stats))
-            .map_err(|e| e.reason);
-        if r.is_ok() {
-            tracer.driver_instant(EventKind::IdDepthFinish, depth);
-        }
-        r
-    });
-    note_stop(&r, tracer);
-    r
-}
-
-/// [`run_er_threads_id_trace`] with all iterations sharing `table`; table
-/// probes and stores are recorded as [`EventKind::TtProbe`] /
-/// [`EventKind::TtStore`] instants on the worker rows.
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_id_trace_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> ErIdResult {
-    let r = run_id_gen(pos, max_depth, ctl, |depth, ctl| {
-        table.new_search();
-        tracer.driver_instant(EventKind::IdDepthStart, depth);
-        let r = run_er_threads_trace_tt(pos, depth, threads, cfg, exec, table, ctl, tracer)
-            .map(|r| (r.value, r.stats))
-            .map_err(|e| e.reason);
-        if r.is_ok() {
-            tracer.driver_instant(EventKind::IdDepthFinish, depth);
-        }
-        r
-    });
-    note_stop(&r, tracer);
-    r
-}
-
-/// Records the driver-side abort observation when deepening stopped early.
-fn note_stop(r: &ErIdResult, tracer: &Tracer) {
-    if let Some(reason) = r.stopped {
-        tracer.driver_instant(EventKind::AbortTrip, reason as u32);
-    }
-}
-
-/// The deepening loop, shared by the table-free and table-backed drivers.
-/// `search` runs one fixed-depth iteration and reports either its exact
-/// root value and stats or the abort reason.
-fn run_id_gen<P: GamePosition>(
-    pos: &P,
-    max_depth: u32,
-    ctl: &SearchControl,
-    mut search: impl FnMut(u32, &SearchControl) -> Result<(Value, SearchStats), AbortReason>,
-) -> ErIdResult {
-    let mut stepper = IdStepper::new(pos.evaluate(), AspirationConfig::OFF);
+    asp: AspirationConfig,
+    hooks: Hooks<T, C, (), R, M>,
+) -> ErIdResult
+where
+    P: GamePosition,
+    T: TtAccess<P> + Send + Sync,
+    C: CtlToken,
+    R: TraceAccess,
+    M: MetricsAccess,
+{
+    let unlimited = SearchControl::unlimited();
+    let ctl = hooks.ctl.token().unwrap_or(&unlimited);
+    let tracer = hooks.trace.tracer();
+    let tables = asp.ordering.then(OrderingTables::new);
+    let mut stepper = IdStepper::new(pos.evaluate(), asp);
     while stepper.depth_completed() < max_depth {
         let depth = stepper.next_depth();
-        if stepper
-            .step_with(depth, ctl, None, |d, _w, c| search(d, c))
-            .is_err()
-        {
+        // Skip the per-depth bookkeeping for a step that is already
+        // doomed, so a deadline landing between steps bumps no generation.
+        if let Some(reason) = ctl.poll() {
+            stepper.result.stopped = Some(reason);
+            break;
+        }
+        if let Some(table) = hooks.tt.table() {
+            table.new_generation();
+        }
+        if let (Some(t), true) = (&tables, depth > 1) {
+            t.age();
+        }
+        let step = stepper.step_with(depth, ctl, tracer, |d, w, c| {
+            let h = hooks.ctl(c);
+            match &tables {
+                Some(t) => run_er_threads_with(pos, d, w, threads, cfg, exec, h.ord(t)),
+                None => run_er_threads_with(pos, d, w, threads, cfg, exec, h),
+            }
+            .map(|r| (r.value, r.stats))
+            .map_err(|e| e.reason)
+        });
+        if step.is_err() {
             break;
         }
     }
-    stepper.into_result()
+    let r = stepper.into_result();
+    if let (Some(t), Some(reason)) = (tracer, r.stopped) {
+        t.driver_instant(EventKind::AbortTrip, reason as u32);
+    }
+    r
 }
 
 /// The re-entrant core of the anytime deepening drivers: one call runs
 /// exactly **one depth step** (an aspiration probe plus at most one
 /// widened re-search) and folds it into the accumulated anytime state.
 ///
-/// The in-process drivers ([`run_er_threads_id`] and friends) loop over
+/// The in-process driver ([`run_er_threads_id`]) loops over
 /// [`step_with`](Self::step_with) until `max_depth` or an abort; the
 /// engine server's session scheduler instead interleaves steppers of many
 /// sessions — each session keeps its `IdStepper` across slices, so
@@ -421,242 +374,4 @@ impl AspirationConfig {
             ordering: true,
         }
     }
-}
-
-/// Aspiration-windowed anytime deepening (table-free): depth 1 runs under
-/// the full window; each later depth first probes a window of `±asp.delta`
-/// around the previous depth's root value. A probe that lands inside its
-/// window is exact and cheap (the narrow bounds prune harder everywhere);
-/// one that fails high or low is re-searched once with the failed side
-/// opened, which is exact in one pass under fail-hard clamping.
-///
-/// With `asp.ordering`, one shared [`OrderingTables`] ranks children at
-/// every depth; history ages at each depth bump so stale credit decays.
-pub fn run_er_threads_id_asp<P: GamePosition>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    asp: AspirationConfig,
-    ctl: &SearchControl,
-) -> ErIdResult {
-    if asp.ordering {
-        let tables = OrderingTables::new();
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            None,
-            |depth| {
-                if depth > 1 {
-                    tables.age();
-                }
-            },
-            |depth, window, ctl| {
-                run_er_threads_window_ord(
-                    pos,
-                    depth,
-                    window,
-                    threads,
-                    cfg,
-                    exec,
-                    (),
-                    ctl,
-                    (),
-                    &tables,
-                )
-                .map(|r| (r.value, r.stats))
-                .map_err(|e| e.reason)
-            },
-        )
-    } else {
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            None,
-            |_| {},
-            |depth, window, ctl| {
-                run_er_threads_window_ord(pos, depth, window, threads, cfg, exec, (), ctl, (), ())
-                    .map(|r| (r.value, r.stats))
-                    .map_err(|e| e.reason)
-            },
-        )
-    }
-}
-
-/// [`run_er_threads_id_asp`] with all iterations sharing `table` (each
-/// depth starts a new table generation, as in [`run_er_threads_id_tt`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_id_asp_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    asp: AspirationConfig,
-    ctl: &SearchControl,
-) -> ErIdResult {
-    if asp.ordering {
-        let tables = OrderingTables::new();
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            None,
-            |depth| {
-                table.new_search();
-                if depth > 1 {
-                    tables.age();
-                }
-            },
-            |depth, window, ctl| {
-                run_er_threads_window_ord(
-                    pos,
-                    depth,
-                    window,
-                    threads,
-                    cfg,
-                    exec,
-                    table,
-                    ctl,
-                    (),
-                    &tables,
-                )
-                .map(|r| (r.value, r.stats))
-                .map_err(|e| e.reason)
-            },
-        )
-    } else {
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            None,
-            |_| table.new_search(),
-            |depth, window, ctl| {
-                run_er_threads_window_ord(
-                    pos,
-                    depth,
-                    window,
-                    threads,
-                    cfg,
-                    exec,
-                    table,
-                    ctl,
-                    (),
-                    (),
-                )
-                .map(|r| (r.value, r.stats))
-                .map_err(|e| e.reason)
-            },
-        )
-    }
-}
-
-/// [`run_er_threads_id_asp_tt`] with a [`Tracer`] attached: besides the
-/// usual depth instants, the driver row records one
-/// [`EventKind::AspirationResearch`] instant per widened re-search and an
-/// [`EventKind::QExtension`] instant per depth whose serial frontier
-/// extended unstable leaves (`arg` = extension count).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_id_asp_trace_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    max_depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    asp: AspirationConfig,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> ErIdResult {
-    let r = if asp.ordering {
-        let tables = OrderingTables::new();
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            Some(tracer),
-            |depth| {
-                table.new_search();
-                if depth > 1 {
-                    tables.age();
-                }
-            },
-            |depth, window, ctl| {
-                run_er_threads_window_ord(
-                    pos, depth, window, threads, cfg, exec, table, ctl, tracer, &tables,
-                )
-                .map(|r| (r.value, r.stats))
-                .map_err(|e| e.reason)
-            },
-        )
-    } else {
-        run_id_asp_gen(
-            pos,
-            max_depth,
-            asp,
-            ctl,
-            Some(tracer),
-            |_| table.new_search(),
-            |depth, window, ctl| {
-                run_er_threads_window_ord(
-                    pos,
-                    depth,
-                    window,
-                    threads,
-                    cfg,
-                    exec,
-                    table,
-                    ctl,
-                    tracer,
-                    (),
-                )
-                .map(|r| (r.value, r.stats))
-                .map_err(|e| e.reason)
-            },
-        )
-    };
-    note_stop(&r, tracer);
-    r
-}
-
-/// The aspiration deepening loop shared by the table-free and table-backed
-/// drivers: an [`IdStepper`] driven to `max_depth` in one sitting.
-/// `pre_depth` runs once per depth *before* the probe (table generation
-/// bump, history aging) — never again for the re-search, so a fail-out
-/// re-searches against the same table state its probe saw.
-#[allow(clippy::too_many_arguments)]
-fn run_id_asp_gen<P: GamePosition>(
-    pos: &P,
-    max_depth: u32,
-    asp: AspirationConfig,
-    ctl: &SearchControl,
-    tracer: Option<&Tracer>,
-    mut pre_depth: impl FnMut(u32),
-    mut search: impl FnMut(u32, Window, &SearchControl) -> Result<(Value, SearchStats), AbortReason>,
-) -> ErIdResult {
-    let mut stepper = IdStepper::new(pos.evaluate(), asp);
-    while stepper.depth_completed() < max_depth {
-        let depth = stepper.next_depth();
-        // Skip the per-depth hooks for a step that is already doomed, so a
-        // deadline landing between steps bumps no generation.
-        if let Some(reason) = ctl.poll() {
-            stepper.result.stopped = Some(reason);
-            break;
-        }
-        pre_depth(depth);
-        if stepper.step_with(depth, ctl, tracer, &mut search).is_err() {
-            break;
-        }
-    }
-    stepper.into_result()
 }

@@ -70,11 +70,12 @@ use std::time::Instant;
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::MetricsAccess;
 use problem_heap::ThreadCounters;
-use trace::{EventKind, TraceAccess, Traced, Tracer, WorkerTrace};
-use tt::{TranspositionTable, TtAccess, TtStats, Zobrist};
+use trace::{EventKind, TraceAccess, Traced, WorkerTrace};
+use tt::{TranspositionTable, TtAccess, TtStats};
 
 use search_serial::er::ErConfig;
 use search_serial::ordering::OrdAccess;
+use search_serial::{CtlToken, Hooks};
 
 use super::engine::{execute_task, ErWorker, Job, Outcome, Select, Task};
 use super::ErParallelConfig;
@@ -253,8 +254,8 @@ pub struct ErThreadsResult {
     /// calling thread).
     pub per_thread: Vec<ThreadCounters>,
     /// Transposition-table activity attributable to this run (the delta of
-    /// the shared table's counters over the run), when a table was
-    /// attached via [`run_er_threads_tt`]; `None` for table-free runs.
+    /// the shared table's counters over the run) when a table was
+    /// attached through [`Hooks::tt`]; `None` for table-free runs.
     pub tt: Option<TtStats>,
 }
 
@@ -307,7 +308,7 @@ pub fn run_er_threads<P: GamePosition>(
 ///
 /// Returns `Err(SearchAborted)` when the run could not complete — for this
 /// deadline-free entry point that means a worker panicked. Attach a
-/// deadline or cancellation token with [`run_er_threads_ctl`].
+/// deadline or cancellation token through [`run_er_threads_with`].
 pub fn run_er_threads_exec<P: GamePosition>(
     pos: &P,
     depth: u32,
@@ -315,178 +316,92 @@ pub fn run_er_threads_exec<P: GamePosition>(
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
 ) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        (),
-        &SearchControl::unlimited(),
-        (),
-        (),
-        (),
-    )
+    run_er_threads_with(pos, depth, Window::FULL, threads, cfg, exec, Hooks::new())
 }
 
-/// [`run_er_threads_exec`] under an external [`SearchControl`]: the run
-/// stops early (with `Err(SearchAborted)`) when `ctl`'s deadline passes,
-/// [`SearchControl::cancel`] is called from another thread, or a worker
-/// panics.
-pub fn run_er_threads_ctl<P: GamePosition>(
+/// The threaded entry point: an explicit root `window` and every handle of
+/// `hooks`. Each `()` slot compiles away.
+///
+/// * `tt`: all workers probe and store through the same lock-free table,
+///   so one worker's refutation is every other worker's ordering hint (or
+///   outright answer). [`ErThreadsResult::tt`] reports the run's table
+///   activity.
+/// * `ctl`: a `&SearchControl` token stops the run early (with
+///   `Err(SearchAborted)`) when its deadline passes, when
+///   [`SearchControl::cancel`] is called from another thread, or when a
+///   worker panics. With `()` only a panic stops it.
+/// * `ord`: shared killer/history tables rank non-e-node children and the
+///   serial frontier.
+/// * `trace`: a [`Tracer`](trace::Tracer) collects every worker's
+///   activity (job spans, lock waits/holds, parks, queue depths, abort
+///   trips, and table probes and stores through a [`Traced`] handle) into
+///   a private bounded ring per worker, submitted when the worker ends.
+/// * `metrics`: per-acquisition lock waits land in the engine's lock-wait
+///   histogram as they happen, and a completed run folds its merged
+///   node/job totals into the counters once at the end (DESIGN.md §16).
+///
+/// The root value is bit-identical with any combination of handles. With
+/// a narrowed `window` the result is exact only if it falls strictly
+/// inside it; outside it is a fail-hard bound in the failing direction,
+/// which the aspiration driver detects and re-searches.
+pub fn run_er_threads_with<P, T, C, O, R, M>(
     pos: &P,
     depth: u32,
+    window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    ctl: &SearchControl,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        (),
+    hooks: Hooks<T, C, O, R, M>,
+) -> Result<ErThreadsResult, SearchAborted>
+where
+    P: GamePosition,
+    T: TtAccess<P> + Send + Sync,
+    C: CtlToken,
+    O: OrdAccess + Send + Sync,
+    R: TraceAccess,
+    M: MetricsAccess,
+{
+    let Hooks {
+        tt,
         ctl,
-        (),
-        (),
-        (),
-    )
-}
-
-/// [`run_er_threads_ctl`] with a [`Tracer`] attached: every worker records
-/// its activity (job spans, lock waits/holds, parks, queue depths,
-/// abort trips) into a private bounded ring, submitted to `tracer` when
-/// the thread joins. The root value is bit-identical to the untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_trace<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        (),
-        ctl,
-        tracer,
-        (),
-        (),
-    )
-}
-
-/// [`run_er_threads_trace`] with a shared transposition table: the trace
-/// additionally records every table probe and store (the handle is wrapped
-/// in [`trace::Traced`] and rides into `execute_task` and the
-/// serial-frontier searches unchanged).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_trace_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> Result<ErThreadsResult, SearchAborted> {
-    let before = table.stats();
+        ord,
+        trace,
+        metrics,
+    } = hooks;
+    let unlimited = SearchControl::unlimited();
+    let ctl = ctl.token().unwrap_or(&unlimited);
+    let before = tt.table().map(TranspositionTable::stats);
     let mut r = run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        table,
-        ctl,
-        tracer,
-        (),
-        (),
+        pos, depth, window, threads, cfg, exec, tt, ctl, trace, ord, metrics,
     )?;
-    r.tt = Some(table.stats().since(&before));
+    r.tt = tt.table().zip(before).map(|(t, b)| t.stats().since(&b));
     Ok(r)
 }
 
-/// [`run_er_threads`] with all workers sharing `table`: every thread
-/// probes and stores through the same lock-free table, so one worker's
-/// refutation is every other worker's ordering hint (or outright answer).
-/// [`ErThreadsResult::tt`] reports the run's table activity.
-pub fn run_er_threads_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    table: &TranspositionTable,
-) -> ErThreadsResult {
-    expect_complete(run_er_threads_exec_tt(
-        pos,
-        depth,
-        threads,
-        cfg,
-        ThreadsConfig::default(),
-        table,
-    ))
-}
-
-/// [`run_er_threads_exec`] with a shared transposition table.
-pub fn run_er_threads_exec_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_ctl_tt(
-        pos,
-        depth,
-        threads,
-        cfg,
-        exec,
-        table,
-        &SearchControl::unlimited(),
-    )
-}
-
-/// [`run_er_threads_exec_tt`] under an external [`SearchControl`].
+/// [`run_er_threads_with`] with positional handles and no metrics. It
+/// stays only because the benchmark in `perfbench/` calls it with this
+/// exact signature; new code builds a [`Hooks`] instead.
 #[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_ctl_tt<P: GamePosition + Zobrist>(
+pub fn run_er_threads_window_ord<P, T, R, O>(
     pos: &P,
     depth: u32,
+    window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    table: &TranspositionTable,
+    tt: T,
     ctl: &SearchControl,
-) -> Result<ErThreadsResult, SearchAborted> {
-    let before = table.stats();
-    let mut r = run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        table,
-        ctl,
-        (),
-        (),
-        (),
-    )?;
-    r.tt = Some(table.stats().since(&before));
-    Ok(r)
+    tr: R,
+    ord: O,
+) -> Result<ErThreadsResult, SearchAborted>
+where
+    P: GamePosition,
+    T: TtAccess<P> + Send + Sync,
+    R: TraceAccess,
+    O: OrdAccess + Send + Sync,
+{
+    let hooks = Hooks::new().tt(tt).ctl(ctl).trace(tr).ord(ord);
+    run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks)
 }
 
 /// Poison-tolerant lock on the shared heap state. Worker panics are caught
@@ -532,67 +447,6 @@ fn task_arg(task: &Task) -> u32 {
         Task::ExpandRest => 4,
         Task::Serial { .. } => 5,
     }
-}
-
-/// The fully general threaded entry point: an explicit root window (the
-/// aspiration driver's probe), any table handle, any trace recorder, and a
-/// shared killer/history handle (`()` disables dynamic ordering and keeps
-/// the run bit-identical to [`run_er_threads_ctl`]'s schedule space).
-///
-/// With a narrowed `window` the result is exact only if it falls strictly
-/// inside it; outside it is a fail-hard bound in the failing direction,
-/// which the driver detects and re-searches.
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_window_ord<P, T, R, O>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    tt: T,
-    ctl: &SearchControl,
-    tr: R,
-    ord: O,
-) -> Result<ErThreadsResult, SearchAborted>
-where
-    P: GamePosition,
-    T: TtAccess<P> + Send + Sync,
-    R: TraceAccess,
-    O: OrdAccess + Send + Sync,
-{
-    run_er_threads_gen(pos, depth, window, threads, cfg, exec, tt, ctl, tr, ord, ())
-}
-
-/// [`run_er_threads_window_ord`] with a live metrics handle
-/// (DESIGN.md §16): per-acquisition lock waits land in the engine's
-/// lock-wait histogram as they happen, and a completed run folds its
-/// merged node/job totals into the counters once at the end. With
-/// `mx = ()` every recording call compiles away and this *is*
-/// [`run_er_threads_window_ord`]; the root value is bit-identical either
-/// way (`repro obs` asserts it).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_window_ord_metrics<P, T, R, O, M>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    tt: T,
-    ctl: &SearchControl,
-    tr: R,
-    ord: O,
-    mx: M,
-) -> Result<ErThreadsResult, SearchAborted>
-where
-    P: GamePosition,
-    T: TtAccess<P> + Send + Sync,
-    R: TraceAccess,
-    O: OrdAccess + Send + Sync,
-    M: MetricsAccess,
-{
-    run_er_threads_gen(pos, depth, window, threads, cfg, exec, tt, ctl, tr, ord, mx)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -22,15 +22,10 @@ pub mod schedule;
 pub mod tree;
 
 pub use control::{AbortReason, SearchAborted, SearchControl};
-pub use er::threads::{
-    pin_current_thread, run_er_threads_tt, ErThreadsResult, PinPolicy, ThreadsConfig,
-};
+pub use er::threads::{pin_current_thread, ErThreadsResult, PinPolicy, ThreadsConfig};
 pub use er::{
-    run_er_sim, run_er_sim_ord, run_er_sim_tt, run_er_sim_window_ord, run_er_threads,
-    run_er_threads_ctl, run_er_threads_ctl_tt, run_er_threads_exec, run_er_threads_exec_tt,
-    run_er_threads_id, run_er_threads_id_asp, run_er_threads_id_asp_trace_tt,
-    run_er_threads_id_asp_tt, run_er_threads_id_trace, run_er_threads_id_trace_tt,
-    run_er_threads_id_tt, run_er_threads_trace, run_er_threads_trace_tt, run_er_threads_window_ord,
-    run_er_threads_window_ord_metrics, AspirationConfig, DepthResult, ErIdResult, ErParallelConfig,
-    ErRunResult, IdStepper, Speculation,
+    run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec, run_er_threads_id,
+    run_er_threads_window_ord, run_er_threads_with, AspirationConfig, DepthResult, ErIdResult,
+    ErParallelConfig, ErRunResult, IdStepper, Speculation,
 };
+pub use search_serial::Hooks;

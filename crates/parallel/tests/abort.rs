@@ -13,11 +13,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use er_parallel::{
-    run_er_threads_ctl, run_er_threads_exec, run_er_threads_id, run_er_threads_id_tt, AbortReason,
-    ErParallelConfig, SearchControl, ThreadsConfig,
+    run_er_threads_exec, run_er_threads_id, run_er_threads_with, AbortReason, AspirationConfig,
+    ErParallelConfig, Hooks, SearchControl, ThreadsConfig,
 };
 use gametree::random::RandomTreeSpec;
-use gametree::{GamePosition, Value};
+use gametree::{GamePosition, Value, Window};
 use search_serial::OrderPolicy;
 use tt::TranspositionTable;
 
@@ -181,8 +181,16 @@ fn expired_deadline_aborts_promptly() {
     let cfg = ErParallelConfig::random_tree(3);
     let ctl = SearchControl::with_budget(Duration::ZERO);
     let start = Instant::now();
-    let err = run_er_threads_ctl(&root, 9, 4, &cfg, ThreadsConfig::default(), &ctl)
-        .expect_err("expired deadline must abort");
+    let err = run_er_threads_with(
+        &root,
+        9,
+        Window::FULL,
+        4,
+        &cfg,
+        ThreadsConfig::default(),
+        Hooks::new().ctl(&ctl),
+    )
+    .expect_err("expired deadline must abort");
     assert_eq!(err.reason, AbortReason::DeadlineHit);
     assert_eq!(err.counters.len(), 4);
     // Generous CI-safe bound: the workers observed the trip and left well
@@ -201,7 +209,15 @@ fn midflight_deadline_aborts_with_partial_counters() {
     let root = RandomTreeSpec::new(21, 4, 11).root();
     let cfg = ErParallelConfig::random_tree(2);
     let ctl = SearchControl::with_budget(Duration::from_millis(5));
-    match run_er_threads_ctl(&root, 11, 4, &cfg, ThreadsConfig::default(), &ctl) {
+    match run_er_threads_with(
+        &root,
+        11,
+        Window::FULL,
+        4,
+        &cfg,
+        ThreadsConfig::default(),
+        Hooks::new().ctl(&ctl),
+    ) {
         Err(err) => {
             assert_eq!(err.reason, AbortReason::DeadlineHit);
             assert_eq!(err.counters.len(), 4);
@@ -221,8 +237,16 @@ fn cancellation_aborts_before_any_work() {
     let cfg = ErParallelConfig::random_tree(3);
     let ctl = SearchControl::unlimited();
     ctl.cancel();
-    let err = run_er_threads_ctl(&root, 9, 4, &cfg, ThreadsConfig::default(), &ctl)
-        .expect_err("pre-cancelled control must abort");
+    let err = run_er_threads_with(
+        &root,
+        9,
+        Window::FULL,
+        4,
+        &cfg,
+        ThreadsConfig::default(),
+        Hooks::new().ctl(&ctl),
+    )
+    .expect_err("pre-cancelled control must abort");
     assert_eq!(err.reason, AbortReason::Cancelled);
     let totals = err.total_counters();
     assert_eq!(
@@ -246,7 +270,8 @@ fn id_at_full_budget_matches_fixed_depth_runs() {
         4,
         &cfg,
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&SearchControl::unlimited()),
     );
     assert_eq!(id.value, fixed.value, "anytime value is bit-identical");
     assert_eq!(id.depth_completed, 7);
@@ -264,14 +289,14 @@ fn id_tt_bumps_generation_per_depth_and_matches_fixed_depth() {
     let cfg = ErParallelConfig::random_tree(3);
     let table = TranspositionTable::with_bits(14);
     assert_eq!(table.generation(), 0);
-    let id = run_er_threads_id_tt(
+    let id = run_er_threads_id(
         &root,
         7,
         4,
         &cfg,
         ThreadsConfig::default(),
-        &table,
-        &SearchControl::unlimited(),
+        AspirationConfig::OFF,
+        Hooks::new().tt(&table).ctl(&SearchControl::unlimited()),
     );
     assert_eq!(
         table.generation(),
@@ -292,7 +317,15 @@ fn id_under_tiny_budget_still_returns_a_usable_value() {
     let root = RandomTreeSpec::new(3, 4, 12).root();
     let cfg = ErParallelConfig::random_tree(2);
     let ctl = SearchControl::with_budget(Duration::from_millis(10));
-    let id = run_er_threads_id(&root, 12, 4, &cfg, ThreadsConfig::default(), &ctl);
+    let id = run_er_threads_id(
+        &root,
+        12,
+        4,
+        &cfg,
+        ThreadsConfig::default(),
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&ctl),
+    );
     // Depth 12 at degree 4 cannot finish in 10ms; the driver must stop on
     // the deadline and report the deepest completed depth.
     assert_eq!(id.stopped, Some(AbortReason::DeadlineHit));
@@ -319,7 +352,8 @@ fn id_with_cancelled_control_stops_immediately() {
         4,
         &ErParallelConfig::random_tree(3),
         ThreadsConfig::default(),
-        &ctl,
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&ctl),
     );
     assert_eq!(id.stopped, Some(AbortReason::Cancelled));
     assert_eq!(id.depth_completed, 0);

@@ -1,20 +1,21 @@
-//! Tracing must be observation only: every traced entry point returns
-//! bit-identical results to its untraced twin (DESIGN.md §11).
+//! Tracing must be observation only: a search with a tracer attached
+//! returns bit-identical results to the same search without one
+//! (DESIGN.md §11).
 //!
 //! Root *values* are compared at every thread count — they are
 //! scheduling-independent. Examined-node *counts* are compared only where
 //! the back-end itself is deterministic: one worker, whose schedule is the
 //! 1-processor simulator's (multi-thread node counts vary run to run with
-//! OS scheduling, traced or not). The serial `*_ctl` twins' exact stats equivalence lives in
-//! `search_serial::traced`; the bounded-ring overwrite tests live in
+//! OS scheduling, traced or not); `one_worker.rs` pins them for every
+//! combination of handles. The bounded-ring overwrite tests live in
 //! `trace::ring`.
 
 use er_parallel::{
-    run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_id, run_er_threads_id_trace,
-    run_er_threads_trace, run_er_threads_trace_tt, ErParallelConfig, SearchControl, Speculation,
-    ThreadsConfig,
+    run_er_threads_exec, run_er_threads_id, run_er_threads_with, AspirationConfig,
+    ErParallelConfig, Hooks, SearchControl, Speculation, ThreadsConfig,
 };
 use gametree::random::RandomTreeSpec;
+use gametree::Window;
 use proptest::prelude::*;
 use search_serial::{negmax, OrderPolicy, SelectivityConfig};
 use trace::{EventKind, Tracer};
@@ -33,9 +34,14 @@ proptest! {
         let root = RandomTreeSpec::new(seed, 3, 5).root();
         let cfg = ErParallelConfig::random_tree(2);
         let tracer = Tracer::new();
-        let traced = run_er_threads_trace(
-            &root, 5, threads, &cfg, ThreadsConfig::default(),
-            &SearchControl::unlimited(), &tracer,
+        let traced = run_er_threads_with(
+            &root,
+            5,
+            Window::FULL,
+            threads,
+            &cfg,
+            ThreadsConfig::default(),
+            Hooks::new().ctl(&SearchControl::unlimited()).trace(&tracer),
         ).expect("unlimited traced run cannot abort");
         let plain = run_er_threads_exec(
             &root, 5, threads, &cfg, ThreadsConfig::default(),
@@ -58,14 +64,14 @@ fn single_thread_stats_are_bit_identical() {
         let root = RandomTreeSpec::new(seed, 4, 7).root();
         let cfg = ErParallelConfig::random_tree(3);
         let tracer = Tracer::new();
-        let traced = run_er_threads_trace(
+        let traced = run_er_threads_with(
             &root,
             7,
+            Window::FULL,
             1,
             &cfg,
             exec,
-            &SearchControl::unlimited(),
-            &tracer,
+            Hooks::new().ctl(&SearchControl::unlimited()).trace(&tracer),
         )
         .expect("unlimited traced run cannot abort");
         let plain =
@@ -96,24 +102,27 @@ fn traced_tt_matches_untraced_on_othello() {
         let traced_table = tt::TranspositionTable::with_bits(14);
         let plain_table = tt::TranspositionTable::with_bits(14);
         let tracer = Tracer::new();
-        let traced = run_er_threads_trace_tt(
+        let traced = run_er_threads_with(
             &root,
             4,
+            Window::FULL,
             threads,
             &cfg,
             ThreadsConfig::default(),
-            &traced_table,
-            &SearchControl::unlimited(),
-            &tracer,
+            Hooks::new()
+                .tt(&traced_table)
+                .ctl(&SearchControl::unlimited())
+                .trace(&tracer),
         )
         .expect("unlimited traced run cannot abort");
-        let plain = run_er_threads_exec_tt(
+        let plain = run_er_threads_with(
             &root,
             4,
+            Window::FULL,
             threads,
             &cfg,
             ThreadsConfig::default(),
-            &plain_table,
+            Hooks::new().tt(&plain_table),
         )
         .expect("unlimited untraced run cannot abort");
         assert_eq!(traced.value, exact, "threads {threads}");
@@ -149,14 +158,14 @@ fn traced_values_match_untraced_on_checkers() {
     let exact = negmax(&root, 5).value;
     for threads in THREAD_MATRIX {
         let tracer = Tracer::new();
-        let traced = run_er_threads_trace(
+        let traced = run_er_threads_with(
             &root,
             5,
+            Window::FULL,
             threads,
             &cfg,
             ThreadsConfig::default(),
-            &SearchControl::unlimited(),
-            &tracer,
+            Hooks::new().ctl(&SearchControl::unlimited()).trace(&tracer),
         )
         .expect("unlimited traced run cannot abort");
         assert_eq!(traced.value, exact, "threads {threads}");
@@ -168,14 +177,14 @@ fn traced_deepening_matches_untraced_and_marks_depths() {
     let root = RandomTreeSpec::new(5, 4, 6).root();
     let cfg = ErParallelConfig::random_tree(3);
     let tracer = Tracer::new();
-    let traced = run_er_threads_id_trace(
+    let traced = run_er_threads_id(
         &root,
         6,
         4,
         &cfg,
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
-        &tracer,
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&SearchControl::unlimited()).trace(&tracer),
     );
     let plain = run_er_threads_id(
         &root,
@@ -183,7 +192,8 @@ fn traced_deepening_matches_untraced_and_marks_depths() {
         4,
         &cfg,
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
+        AspirationConfig::OFF,
+        Hooks::new().ctl(&SearchControl::unlimited()),
     );
     assert_eq!(traced.value, plain.value);
     assert_eq!(traced.depth_completed, plain.depth_completed);

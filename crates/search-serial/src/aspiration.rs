@@ -6,11 +6,11 @@
 //! parallel aspiration algorithm (paper §4.1).
 
 use gametree::{GamePosition, Value, Window};
-use tt::{TranspositionTable, Zobrist};
+use tt::TtAccess;
 
-use crate::alphabeta::{alphabeta_window, alphabeta_window_tt};
+use crate::alphabeta::alphabeta_with;
 use crate::ordering::OrderPolicy;
-use crate::SearchResult;
+use crate::{Hooks, SearchResult};
 
 /// Outcome classification of one aspiration probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,30 +34,37 @@ pub struct AspirationResult {
 
 /// Searches `pos` with an initial window of `guess ± delta`, re-searching
 /// as needed. Always returns the exact value.
-pub fn aspiration<P: GamePosition>(
+///
+/// Every search shares the table handle of `hooks`. A table earns its
+/// keep on the re-search: everything the failed probe proved is stored,
+/// so the half-open re-search replays the probed subtrees from memory
+/// instead of searching them again.
+pub fn aspiration<P: GamePosition, T: TtAccess<P>>(
     pos: &P,
     depth: u32,
     guess: Value,
     delta: i32,
     policy: OrderPolicy,
+    hooks: Hooks<T>,
 ) -> AspirationResult {
     assert!(delta > 0, "aspiration window must be non-empty");
+    let search = |w| alphabeta_with(pos, depth, w, policy, hooks).completed();
     let w = Window::new(
         Value::new(guess.get().saturating_sub(delta)),
         Value::new(guess.get().saturating_add(delta)),
     );
-    let first = alphabeta_window(pos, depth, w, policy);
+    let first = search(w);
     let mut stats = first.stats;
     let (value, probe) = if first.value >= w.beta {
         // Fail high: the true value is >= first.value.
         stats.re_searches += 1;
-        let re = alphabeta_window(pos, depth, Window::new(first.value, Value::INF), policy);
+        let re = search(Window::new(first.value, Value::INF));
         stats.merge(&re.stats);
         (re.value, Probe::FailHigh)
     } else if first.value <= w.alpha {
         // Fail low: the true value is <= first.value.
         stats.re_searches += 1;
-        let re = alphabeta_window(pos, depth, Window::new(Value::NEG_INF, first.value), policy);
+        let re = search(Window::new(Value::NEG_INF, first.value));
         stats.merge(&re.stats);
         (re.value, Probe::FailLow)
     } else {
@@ -67,69 +74,6 @@ pub fn aspiration<P: GamePosition>(
         result: SearchResult { value, stats },
         probe,
     }
-}
-
-/// [`aspiration`] sharing `table`. The table earns its keep on the
-/// re-search: everything the failed probe proved is stored, so the
-/// half-open re-search replays the probed subtrees from memory instead of
-/// searching them again.
-pub fn aspiration_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    guess: Value,
-    delta: i32,
-    policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> AspirationResult {
-    assert!(delta > 0, "aspiration window must be non-empty");
-    let w = Window::new(
-        Value::new(guess.get().saturating_sub(delta)),
-        Value::new(guess.get().saturating_add(delta)),
-    );
-    let first = alphabeta_window_tt(pos, depth, w, policy, table);
-    let mut stats = first.stats;
-    let (value, probe) = if first.value >= w.beta {
-        stats.re_searches += 1;
-        let re = alphabeta_window_tt(
-            pos,
-            depth,
-            Window::new(first.value, Value::INF),
-            policy,
-            table,
-        );
-        stats.merge(&re.stats);
-        (re.value, Probe::FailHigh)
-    } else if first.value <= w.alpha {
-        stats.re_searches += 1;
-        let re = alphabeta_window_tt(
-            pos,
-            depth,
-            Window::new(Value::NEG_INF, first.value),
-            policy,
-            table,
-        );
-        stats.merge(&re.stats);
-        (re.value, Probe::FailLow)
-    } else {
-        (first.value, Probe::Exact)
-    };
-    AspirationResult {
-        result: SearchResult { value, stats },
-        probe,
-    }
-}
-
-/// Aspiration around the root's static value — the common usage when no
-/// previous-iteration value is available.
-pub fn aspiration_static<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    delta: i32,
-    policy: OrderPolicy,
-) -> AspirationResult {
-    let mut r = aspiration(pos, depth, pos.evaluate(), delta, policy);
-    r.result.stats.eval_calls += 1; // the guess costs one evaluation
-    r
 }
 
 #[cfg(test)]
@@ -144,7 +88,14 @@ mod tests {
             let root = RandomTreeSpec::new(seed, 4, 5).root();
             let exact = negmax(&root, 5).value;
             for guess in [-30_000, -100, 0, 100, 30_000] {
-                let r = aspiration(&root, 5, Value::new(guess), 50, OrderPolicy::NATURAL);
+                let r = aspiration(
+                    &root,
+                    5,
+                    Value::new(guess),
+                    50,
+                    OrderPolicy::NATURAL,
+                    Hooks::new(),
+                );
                 assert_eq!(r.result.value, exact, "seed {seed} guess {guess}");
             }
         }
@@ -154,7 +105,7 @@ mod tests {
     fn exact_probe_when_guess_brackets_value() {
         let root = RandomTreeSpec::new(3, 4, 5).root();
         let exact = negmax(&root, 5).value;
-        let r = aspiration(&root, 5, exact, 10, OrderPolicy::NATURAL);
+        let r = aspiration(&root, 5, exact, 10, OrderPolicy::NATURAL, Hooks::new());
         assert_eq!(r.probe, Probe::Exact);
     }
 
@@ -168,6 +119,7 @@ mod tests {
             Value::new(exact.get() - 1000),
             10,
             OrderPolicy::NATURAL,
+            Hooks::new(),
         );
         assert_eq!(r.probe, Probe::FailHigh);
         assert_eq!(r.result.value, exact);
@@ -183,6 +135,7 @@ mod tests {
             Value::new(exact.get() + 1000),
             10,
             OrderPolicy::NATURAL,
+            Hooks::new(),
         );
         assert_eq!(r.probe, Probe::FailLow);
         assert_eq!(r.result.value, exact);
@@ -192,7 +145,7 @@ mod tests {
     fn good_guess_visits_fewer_nodes_than_full_window() {
         let root = RandomTreeSpec::new(5, 4, 6).root();
         let full = crate::alphabeta::alphabeta(&root, 6, OrderPolicy::NATURAL);
-        let asp = aspiration(&root, 6, full.value, 20, OrderPolicy::NATURAL);
+        let asp = aspiration(&root, 6, full.value, 20, OrderPolicy::NATURAL, Hooks::new());
         assert!(
             asp.result.stats.nodes() <= full.stats.nodes(),
             "{} > {}",
@@ -205,6 +158,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_delta_is_rejected() {
         let root = RandomTreeSpec::new(1, 2, 2).root();
-        aspiration(&root, 2, Value::ZERO, 0, OrderPolicy::NATURAL);
+        aspiration(&root, 2, Value::ZERO, 0, OrderPolicy::NATURAL, Hooks::new());
     }
 }

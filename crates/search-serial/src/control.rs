@@ -14,16 +14,18 @@
 //!
 //! The serial searches stay zero-cost when no control is attached: the
 //! recursion is generic over [`CtlAccess`], and the `()` handle's check
-//! statically returns "keep going", so the non-ctl entry points compile to
-//! exactly the code they were before this module existed (the property
-//! tests pin the observable half of that claim: identical values *and*
-//! identical node counts).
+//! statically returns "keep going", so a search whose hooks carry no
+//! control compiles to exactly the code it was before this module
+//! existed (the property tests pin the observable half of that claim:
+//! identical values *and* identical node counts).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use gametree::{SearchStats, Value};
+
+use crate::SearchResult;
 
 /// Why a search stopped before its result was exact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,14 +279,36 @@ impl CtlAccess for &CtlProbe<'_> {
     }
 }
 
-/// The result of a `*_ctl` search: a value plus a partial-result flag.
+/// The control slot of a threaded search's [`Hooks`](crate::Hooks): `()`
+/// for a run that only a worker panic can stop, or a `&SearchControl`
+/// token. Each worker polls the token through its own [`CtlProbe`]; a
+/// serial search takes such a probe directly, as a [`CtlAccess`] handle.
+pub trait CtlToken: Copy {
+    /// The token, if one is attached.
+    fn token(&self) -> Option<&SearchControl>;
+}
+
+impl CtlToken for () {
+    fn token(&self) -> Option<&SearchControl> {
+        None
+    }
+}
+
+impl CtlToken for &SearchControl {
+    fn token(&self) -> Option<&SearchControl> {
+        Some(self)
+    }
+}
+
+/// The result of a search with a control handle: a value plus a
+/// partial-result flag.
 ///
 /// When `aborted` is `None` the search ran to completion and `value` is
-/// exactly what the non-ctl twin would have returned. When it is
-/// `Some(reason)` the search unwound early: `value` is whatever partial
-/// bound the recursion had established and must not be trusted as exact
-/// (the iterative-deepening driver, for instance, discards it and keeps
-/// the previous depth's completed value).
+/// exactly what the same search without a control would have returned.
+/// When it is `Some(reason)` the search unwound early: `value` is whatever
+/// partial bound the recursion had established and must not be trusted as
+/// exact (the iterative-deepening driver, for instance, discards it and
+/// keeps the previous depth's completed value).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CtlSearchResult {
     /// Root value; exact iff `aborted.is_none()`.
@@ -299,6 +323,32 @@ impl CtlSearchResult {
     /// Whether the search completed (the value is exact).
     pub fn is_complete(&self) -> bool {
         self.aborted.is_none()
+    }
+
+    /// The result of a recursion that returns `None` when `ctl` tripped:
+    /// complete on `Some`, otherwise `partial` flagged with the trip
+    /// reason.
+    pub(crate) fn from_rec<C: CtlAccess>(
+        value: Option<Value>,
+        partial: Value,
+        stats: SearchStats,
+        ctl: C,
+    ) -> CtlSearchResult {
+        CtlSearchResult {
+            value: value.unwrap_or(partial),
+            stats,
+            aborted: if value.is_some() { None } else { ctl.reason() },
+        }
+    }
+
+    /// The value and counters of a search run without a control, which
+    /// cannot abort.
+    pub(crate) fn completed(self) -> SearchResult {
+        assert!(self.is_complete(), "a search without a control aborted");
+        SearchResult {
+            value: self.value,
+            stats: self.stats,
+        }
     }
 }
 

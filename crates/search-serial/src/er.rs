@@ -39,12 +39,12 @@
 //! instead of the megabytes its tens of thousands of nodes would take
 //! (`tests/er_footprint.rs`).
 
-use gametree::{GamePosition, SearchStats, Value};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use gametree::{GamePosition, SearchStats, Value, Window};
+use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlSearchResult};
 use crate::ordering::{note_cutoff, visit_order, OrdAccess, OrderPolicy, SelectivityConfig, Visit};
-use crate::SearchResult;
+use crate::{Hooks, SearchResult};
 
 /// Configuration for serial ER.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,60 +240,31 @@ impl<P: GamePosition> ErNode<P> {
 
 /// Evaluates `pos` to `depth` plies with serial ER.
 pub fn er_search<P: GamePosition>(pos: &P, depth: u32, cfg: ErConfig) -> SearchResult {
-    er_search_window(pos, depth, gametree::Window::FULL, cfg, 0)
+    er_search_with(pos, depth, Window::FULL, cfg, 0, Hooks::new()).completed()
 }
 
-/// Serial ER with an explicit window and a starting ply.
+/// Serial ER under `window` from ply `start_ply`, with the table, control
+/// and ordering handles of `hooks`. Fail-hard with respect to the window
+/// (the result is exact when inside it).
 ///
-/// The parallel engine calls this for subtrees below the serial-depth
-/// threshold (paper §6): `start_ply` keeps the ordering policy's ply limit
-/// anchored at the *global* root, and `window` carries the dynamic
-/// alpha-beta bounds known when the subtree job was taken. Fail-hard with
-/// respect to the window (the result is exact when inside it).
-pub fn er_search_window<P: GamePosition>(
+/// The parallel engine calls this for e-node subtrees below the
+/// serial-depth threshold (paper §6): `start_ply` keeps the ordering
+/// policy's ply limit anchored at the *global* root, `window` carries the
+/// dynamic alpha-beta bounds known when the subtree job was taken, and
+/// the control handle is the worker's own [`CtlProbe`](crate::CtlProbe),
+/// so deadline trips are observed inside long refutation batches, not
+/// just between jobs. Each `()` handle compiles to the code without it:
+/// killer/history ranking, for one, costs nothing unless tables are
+/// passed.
+pub fn er_search_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     pos: &P,
     depth: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     start_ply: u32,
-) -> SearchResult {
-    er_search_window_with(pos, depth, window, cfg, start_ply, ())
-}
-
-/// [`er_search`] sharing `table`.
-pub fn er_search_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    cfg: ErConfig,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_search_window_with(pos, depth, gametree::Window::FULL, cfg, 0, table)
-}
-
-/// [`er_search_window`] sharing `table` (the parallel engine's serial
-/// subtrees all store into — and probe — the one table).
-pub fn er_search_window_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_search_window_with(pos, depth, window, cfg, start_ply, table)
-}
-
-/// [`er_search_window`] generic over the table handle (`()` or
-/// `&TranspositionTable`): the form the parallel engine instantiates so
-/// TT-off runs compile to exactly the pre-TT code.
-pub fn er_search_window_with<P: GamePosition, T: TtAccess<P>>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-) -> SearchResult {
+    hooks: Hooks<T, C, O>,
+) -> CtlSearchResult {
+    let Hooks { tt, ctl, ord, .. } = hooks;
     let mut stats = SearchStats::new();
     let mut root = ErNode::root(pos.clone(), depth, start_ply, cfg);
     let value = er(
@@ -302,83 +273,11 @@ pub fn er_search_window_with<P: GamePosition, T: TtAccess<P>>(
         window.beta,
         cfg,
         tt,
-        (),
-        (),
-        &mut stats,
-    )
-    .expect("no control handle");
-    SearchResult { value, stats }
-}
-
-/// [`er_search`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to
-/// [`er_search`]; an aborted one flags itself via `aborted` and its value
-/// is partial.
-pub fn er_search_ctl<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    cfg: ErConfig,
-    ctl: &SearchControl,
-) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    er_search_window_ctl_with(pos, depth, gametree::Window::FULL, cfg, 0, (), &probe)
-}
-
-/// [`er_search_window_with`] generic over *both* handles — table and
-/// control. The parallel engine's serial-frontier jobs instantiate this
-/// with the worker's [`CtlProbe`] so deadline trips are observed inside
-/// long refutation batches, not just between jobs.
-pub fn er_search_window_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
-) -> CtlSearchResult {
-    er_search_window_ord(pos, depth, window, cfg, start_ply, tt, ctl, ())
-}
-
-/// [`er_search_window_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle (`()` or `&OrderingTables`): the fully-generic
-/// serial ER entry. The `()` instantiation compiles to exactly the
-/// ordering-free code — killer/history ranking costs nothing unless a
-/// table is passed.
-#[allow(clippy::too_many_arguments)]
-pub fn er_search_window_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
-    ord: O,
-) -> CtlSearchResult {
-    let mut stats = SearchStats::new();
-    let mut root = ErNode::root(pos.clone(), depth, start_ply, cfg);
-    match er(
-        &mut root,
-        window.alpha,
-        window.beta,
-        cfg,
-        tt,
         ctl,
         ord,
         &mut stats,
-    ) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: root.value,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
+    );
+    CtlSearchResult::from_rec(value, root.value, stats, ctl)
 }
 
 /// `ER(P, α, β)`: full evaluation of an e-node. `None` means the control
@@ -401,7 +300,7 @@ fn er<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     n.value = alpha;
     let hint = match tt.probe(&n.pos) {
         Some(p) => {
-            if let Some(v) = p.cutoff(n.depth, gametree::Window::new(alpha, beta)) {
+            if let Some(v) = p.cutoff(n.depth, Window::new(alpha, beta)) {
                 n.value = v;
                 n.settle();
                 return Some(v);
@@ -497,7 +396,7 @@ fn eval_first<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     n.value = alpha;
     let hint = match tt.probe(&n.pos) {
         Some(p) => {
-            if let Some(v) = p.cutoff(n.depth, gametree::Window::new(alpha, beta)) {
+            if let Some(v) = p.cutoff(n.depth, Window::new(alpha, beta)) {
                 n.value = v;
                 n.settle();
                 return Some(v);
@@ -599,82 +498,22 @@ fn refute_rest<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
 /// Examines a node with the *refutation* discipline: `Eval_first` (fully
 /// evaluate the first child) and, if that does not already settle the
 /// node, `Refute_rest` over the remaining children — stopping at the first
-/// beta cutoff.
+/// beta cutoff. The handles of `hooks` act as in [`er_search_with`].
 ///
 /// This is how serial ER examines every non-first child (Figure 8's main
 /// loop), and it is what the parallel engine's serial-frontier jobs run
-/// for r-nodes. Running full [`er_search_window`] there instead would
+/// for r-nodes. Running full [`er_search_with`] there instead would
 /// evaluate *all* elder grandchildren up front — wasted work whenever the
 /// refutation succeeds after one child, which is the common case.
-pub fn er_eval_refute<P: GamePosition>(
+pub fn er_eval_refute_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     pos: &P,
     depth: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     start_ply: u32,
-) -> SearchResult {
-    er_eval_refute_with(pos, depth, window, cfg, start_ply, ())
-}
-
-/// [`er_eval_refute`] sharing `table`.
-pub fn er_eval_refute_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_eval_refute_with(pos, depth, window, cfg, start_ply, table)
-}
-
-/// [`er_eval_refute`] generic over the table handle (`()` or
-/// `&TranspositionTable`), for the parallel engine's serial-frontier jobs.
-pub fn er_eval_refute_with<P: GamePosition, T: TtAccess<P>>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-) -> SearchResult {
-    let r = er_eval_refute_ctl_with(pos, depth, window, cfg, start_ply, tt, ());
-    SearchResult {
-        value: r.value,
-        stats: r.stats,
-    }
-}
-
-/// [`er_eval_refute_with`] generic over *both* handles — table and
-/// control. The serial-frontier refutation jobs of the parallel engine run
-/// through here, so a tripped deadline is noticed inside the batch.
-#[allow(clippy::too_many_arguments)]
-pub fn er_eval_refute_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
+    hooks: Hooks<T, C, O>,
 ) -> CtlSearchResult {
-    er_eval_refute_ord(pos, depth, window, cfg, start_ply, tt, ctl, ())
-}
-
-/// [`er_eval_refute_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle, for serial-frontier r-node jobs sharing the
-/// workers' killer/history tables.
-#[allow(clippy::too_many_arguments)]
-pub fn er_eval_refute_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
-    ord: O,
-) -> CtlSearchResult {
+    let Hooks { tt, ctl, ord, .. } = hooks;
     let mut stats = SearchStats::new();
     let mut n = ErNode::root(pos.clone(), depth, start_ply, cfg);
     let mut run = || -> Option<Value> {
@@ -702,139 +541,31 @@ pub fn er_eval_refute_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdA
         }
         Some(t)
     };
-    match run() {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: window.alpha,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
+    let value = run();
+    CtlSearchResult::from_rec(value, window.alpha, stats, ctl)
 }
 
 /// Continues the evaluation of a node whose *first* child has already been
 /// fully evaluated (to `-initial_value` from the node's point of view):
 /// examines `children[1..]` with the `Eval_first`/`Refute_rest` discipline
-/// under `window` and returns the node's final value.
+/// under `window` and returns the node's final value. The handles of
+/// `hooks` act as in [`er_search_with`]; a cutoff in the continuation loop
+/// credits the cutting child against the *parent* node (one ply above the
+/// children), matching what the in-tree `Refute_rest` records.
 ///
 /// This is the serial-frontier form of a promoted e-child in the parallel
 /// engine: its elder grandchild was evaluated earlier as its own unit of
 /// work, and the rest of the subtree is finished serially.
-pub fn er_refute_rest<P: GamePosition>(
+pub fn er_refute_rest_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     children: &[P],
     child_depth: u32,
     child_ply: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     initial_value: Value,
-) -> SearchResult {
-    er_refute_rest_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        (),
-    )
-}
-
-/// [`er_refute_rest`] sharing `table`.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_tt<P: GamePosition + Zobrist>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_refute_rest_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        table,
-    )
-}
-
-/// [`er_refute_rest`] generic over the table handle (`()` or
-/// `&TranspositionTable`), for the parallel engine's frontier e-children.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_with<P: GamePosition, T: TtAccess<P>>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-) -> SearchResult {
-    let r = er_refute_rest_ctl_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        tt,
-        (),
-    );
-    SearchResult {
-        value: r.value,
-        stats: r.stats,
-    }
-}
-
-/// [`er_refute_rest_with`] generic over *both* handles — table and
-/// control.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-    ctl: C,
+    hooks: Hooks<T, C, O>,
 ) -> CtlSearchResult {
-    er_refute_rest_ord(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        tt,
-        ctl,
-        (),
-    )
-}
-
-/// [`er_refute_rest_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle. A cutoff in the continuation loop credits the
-/// cutting child against the *parent* node (one ply above the children),
-/// matching what the in-tree `Refute_rest` records.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-    ctl: C,
-    ord: O,
-) -> CtlSearchResult {
+    let Hooks { tt, ctl, ord, .. } = hooks;
     let mut stats = SearchStats::new();
     let beta = window.beta;
     let mut value = window.alpha.max(initial_value);
@@ -1047,22 +778,28 @@ mod tests {
 
     #[test]
     fn refute_rest_continuation_matches_full_search() {
-        // Evaluating child 0 separately and finishing with er_refute_rest
+        // Evaluating child 0 separately and finishing with er_refute_rest_with
         // must give the same node value as evaluating the node whole.
-        use gametree::Window;
         for seed in 0..8 {
             let node_pos = RandomTreeSpec::new(seed, 4, 5).root();
             let whole = negmax(&node_pos, 5).value;
             let kids = node_pos.children();
             let first = er_search(&kids[0], 4, ErConfig::NATURAL).value;
-            let r = er_refute_rest(&kids, 4, 1, Window::FULL, ErConfig::NATURAL, -first);
+            let r = er_refute_rest_with(
+                &kids,
+                4,
+                1,
+                Window::FULL,
+                ErConfig::NATURAL,
+                -first,
+                Hooks::new(),
+            );
             assert_eq!(r.value, whole, "seed {seed}");
         }
     }
 
     #[test]
     fn refute_rest_respects_beta_cutoff() {
-        use gametree::Window;
         let node_pos = RandomTreeSpec::new(3, 4, 4).root();
         let kids = node_pos.children();
         let first = er_search(&kids[0], 3, ErConfig::NATURAL).value;
@@ -1070,7 +807,7 @@ mod tests {
         // A beta at or below the tentative value refutes immediately: no
         // further children are searched.
         let w = Window::new(Value::NEG_INF, tentative);
-        let r = er_refute_rest(&kids, 3, 1, w, ErConfig::NATURAL, tentative);
+        let r = er_refute_rest_with(&kids, 3, 1, w, ErConfig::NATURAL, tentative, Hooks::new());
         assert!(r.value >= w.beta);
         assert_eq!(r.stats.nodes(), 0, "no work when already refuted");
     }
@@ -1091,21 +828,18 @@ mod tests {
         // handle passed (and warmed by a first pass) every root value must
         // be bit-identical to the plain search.
         use crate::ordering::OrderingTables;
-        use gametree::Window;
         for seed in 0..8 {
             let root = RandomTreeSpec::new(seed, 4, 5).root();
             let plain = er_search(&root, 5, ErConfig::NATURAL).value;
             let tables = OrderingTables::new();
             for _ in 0..2 {
-                let r = er_search_window_ord(
+                let r = er_search_with(
                     &root,
                     5,
                     Window::FULL,
                     ErConfig::NATURAL,
                     0,
-                    (),
-                    (),
-                    &tables,
+                    Hooks::new().ord(&tables),
                 );
                 assert_eq!(r.value, plain, "seed {seed}");
                 assert!(r.aborted.is_none());
@@ -1119,20 +853,17 @@ mod tests {
         // shared across two passes, the second pass must classify some of
         // them as killer or history hits.
         use crate::ordering::OrderingTables;
-        use gametree::Window;
         let root = RandomTreeSpec::new(3, 4, 6).root();
         let tables = OrderingTables::new();
         let mut second = SearchStats::new();
         for pass in 0..2 {
-            let r = er_search_window_ord(
+            let r = er_search_with(
                 &root,
                 6,
                 Window::FULL,
                 ErConfig::NATURAL,
                 0,
-                (),
-                (),
-                &tables,
+                Hooks::new().ord(&tables),
             );
             if pass == 1 {
                 second = r.stats;

@@ -10,6 +10,7 @@ use gametree::{GamePosition, SearchStats, Value};
 
 use crate::aspiration::{aspiration, Probe};
 use crate::ordering::OrderPolicy;
+use crate::Hooks;
 
 /// Result of one iterative-deepening run.
 #[derive(Clone, Debug)]
@@ -39,7 +40,7 @@ pub fn iterative_deepening<P: GamePosition>(
     let mut guess = pos.evaluate();
     stats.eval_calls += 1;
     for d in 1..=depth {
-        let r = aspiration(pos, d, guess, delta, policy);
+        let r = aspiration(pos, d, guess, delta, policy, Hooks::new());
         stats.merge(&r.result.stats);
         by_depth.push(r.result.value);
         probes.push(r.probe);

@@ -10,6 +10,11 @@
 //! * [`pvs::pvs`] — principal-variation (minimal-window) search, the
 //!   primitive behind the §4.4 footnote's pv-splitting variant.
 //!
+//! Each algorithm has one generic entry (`negmax_with`, `alphabeta_with`,
+//! `pvs_with`, `er_search_with`) that takes a window where the algorithm
+//! has one and a [`Hooks`] bundle of table, control and ordering handles;
+//! the plain functions above are those entries with every handle absent.
+//!
 //! All algorithms return the same root value on the same tree (verified by
 //! the cross-crate property tests in the workspace `tests/` directory).
 
@@ -19,13 +24,13 @@ pub mod alphabeta;
 pub mod aspiration;
 pub mod control;
 pub mod er;
+pub mod hooks;
 pub mod iterative;
 pub mod negmax;
 pub mod nodeep;
 pub mod ordering;
 pub mod pv;
 pub mod pvs;
-pub mod traced;
 
 use gametree::{SearchStats, Value};
 
@@ -38,28 +43,18 @@ pub struct SearchResult {
     pub stats: SearchStats,
 }
 
-pub use alphabeta::{
-    alphabeta, alphabeta_ctl, alphabeta_tt, alphabeta_window, alphabeta_window_ord,
-    alphabeta_window_tt, alphabeta_window_with, fail_soft_bound,
+pub use alphabeta::{alphabeta, alphabeta_with, fail_soft_bound};
+pub use aspiration::aspiration;
+pub use control::{
+    AbortReason, CtlAccess, CtlProbe, CtlSearchResult, CtlToken, SearchControl, CHECK_PERIOD,
 };
-pub use aspiration::{aspiration, aspiration_static, aspiration_tt};
-pub use control::{AbortReason, CtlAccess, CtlProbe, CtlSearchResult, SearchControl, CHECK_PERIOD};
-pub use er::{
-    er_eval_refute, er_eval_refute_ctl_with, er_eval_refute_ord, er_eval_refute_tt,
-    er_eval_refute_with, er_refute_rest, er_refute_rest_ctl_with, er_refute_rest_ord,
-    er_refute_rest_tt, er_refute_rest_with, er_search, er_search_ctl, er_search_tt,
-    er_search_window, er_search_window_ctl_with, er_search_window_ord, er_search_window_tt,
-    er_search_window_with, ErConfig,
-};
+pub use er::{er_eval_refute_with, er_refute_rest_with, er_search, er_search_with, ErConfig};
+pub use hooks::Hooks;
 pub use iterative::{iterative_deepening, IterativeResult};
-pub use negmax::{negmax, negmax_ctl, negmax_tt};
+pub use negmax::{negmax, negmax_with};
 pub use nodeep::alphabeta_nodeep;
 pub use ordering::{
     note_cutoff, visit_order, OrdAccess, OrderPolicy, OrderingTables, SelectivityConfig, Visit,
 };
 pub use pv::{alphabeta_pv, PvResult};
-pub use pvs::{pvs, pvs_ctl, pvs_tt, pvs_window, pvs_window_ord, pvs_window_tt};
-pub use traced::{
-    alphabeta_ctl_traced, er_search_ctl_traced, er_search_ctl_tt_traced, negmax_ctl_traced,
-    pvs_ctl_traced,
-};
+pub use pvs::{pvs, pvs_with};

@@ -3,49 +3,34 @@
 //! every other algorithm.
 
 use gametree::{GamePosition, SearchStats, Value};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
-use crate::SearchResult;
+use crate::control::{CtlAccess, CtlSearchResult};
+use crate::{Hooks, SearchResult};
 
 /// Evaluates `pos` to `depth` plies by exhaustive negamax.
 pub fn negmax<P: GamePosition>(pos: &P, depth: u32) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = negmax_rec(pos, depth, (), (), &mut stats).expect("no control handle");
-    SearchResult { value, stats }
+    negmax_with(pos, depth, Hooks::new()).completed()
 }
 
-/// [`negmax`] sharing `table`: every node value is exact, so each position
-/// is stored `Exact` at its remaining depth and an equal-depth hit replays
-/// the whole subtree from memory.
-pub fn negmax_tt<P: GamePosition + Zobrist>(
+/// [`negmax`] with a table and a control handle. Negamax has no window
+/// and no move ordering, so those are all the hooks it takes.
+///
+/// * table: every node value is exact, so each position is stored `Exact`
+///   at its remaining depth and an equal-depth hit replays the whole
+///   subtree from memory;
+/// * control: polled at every node. A completed run is bit-identical to
+///   [`negmax`]; an aborted one flags itself via `aborted` and its value
+///   is partial.
+pub fn negmax_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
     pos: &P,
     depth: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
+    hooks: Hooks<T, C>,
+) -> CtlSearchResult {
+    let Hooks { tt, ctl, .. } = hooks;
     let mut stats = SearchStats::new();
-    let value = negmax_rec(pos, depth, table, (), &mut stats).expect("no control handle");
-    SearchResult { value, stats }
-}
-
-/// [`negmax`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to [`negmax`];
-/// an aborted one flags itself via `aborted` and its value is partial.
-pub fn negmax_ctl<P: GamePosition>(pos: &P, depth: u32, ctl: &SearchControl) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    let mut stats = SearchStats::new();
-    match negmax_rec(pos, depth, (), &probe, &mut stats) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: Value::NEG_INF,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
+    let value = negmax_rec(pos, depth, tt, ctl, &mut stats);
+    CtlSearchResult::from_rec(value, Value::NEG_INF, stats, ctl)
 }
 
 fn negmax_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(

@@ -9,118 +9,39 @@
 //! immediately, making PVS the strongest serial searcher in the workspace.
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use tt::{Bound, TtAccess};
 
 use crate::alphabeta::fail_soft_bound;
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlSearchResult};
 use crate::ordering::{note_cutoff, visit_order, OrdAccess, OrderPolicy};
-use crate::SearchResult;
+use crate::{Hooks, SearchResult};
 
 /// Evaluates `pos` to `depth` plies with principal-variation search.
 pub fn pvs<P: GamePosition>(pos: &P, depth: u32, policy: OrderPolicy) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value =
-        rec(pos, depth, Window::FULL, 0, policy, (), (), (), &mut stats).expect("no control");
-    SearchResult { value, stats }
+    pvs_with(pos, depth, Window::FULL, policy, Hooks::new()).completed()
 }
 
-/// [`pvs`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to [`pvs`]; an
-/// aborted one flags itself via `aborted` and its value is partial.
-pub fn pvs_ctl<P: GamePosition>(
+/// PVS of `pos` to `depth` plies under `window` (fail-soft), with the
+/// table, control and ordering handles of `hooks`.
+///
+/// * table: the stored best move steers the full-window first-child
+///   search onto the principal variation, which is what PVS's null-window
+///   probes bet on;
+/// * control: polled at every node; an aborted run flags itself via
+///   `aborted` and its value is partial;
+/// * ordering: killer/history ranking steers the null-window probes onto
+///   refuting children, which is precisely where PVS's bet pays off.
+pub fn pvs_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     pos: &P,
     depth: u32,
+    window: Window,
     policy: OrderPolicy,
-    ctl: &SearchControl,
+    hooks: Hooks<T, C, O>,
 ) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
+    let Hooks { tt, ctl, ord, .. } = hooks;
     let mut stats = SearchStats::new();
-    match rec(
-        pos,
-        depth,
-        Window::FULL,
-        0,
-        policy,
-        (),
-        &probe,
-        (),
-        &mut stats,
-    ) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: Value::NEG_INF,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
-}
-
-/// PVS with an explicit initial window (fail-soft).
-pub fn pvs_window<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(pos, depth, window, 0, policy, (), (), (), &mut stats).expect("no control");
-    SearchResult { value, stats }
-}
-
-/// [`pvs`] sharing `table`. The stored best move steers the full-window
-/// first-child search onto the principal variation, which is what PVS's
-/// null-window probes bet on.
-pub fn pvs_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(
-        pos,
-        depth,
-        Window::FULL,
-        0,
-        policy,
-        table,
-        (),
-        (),
-        &mut stats,
-    )
-    .expect("no control");
-    SearchResult { value, stats }
-}
-
-/// [`pvs_window`] sharing `table`.
-pub fn pvs_window_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    pvs_window_ord(pos, depth, window, policy, table, ())
-}
-
-/// [`pvs_window_tt`] generic over *both* handles — table and dynamic
-/// move-ordering. Killer/history ranking steers the null-window probes
-/// onto refuting children, which is precisely where PVS's bet pays off.
-pub fn pvs_window_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-    tt: T,
-    ord: O,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(pos, depth, window, 0, policy, tt, (), ord, &mut stats).expect("no control");
-    SearchResult { value, stats }
+    let value = rec(pos, depth, window, 0, policy, tt, ctl, ord, &mut stats);
+    CtlSearchResult::from_rec(value, Value::NEG_INF, stats, ctl)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -306,7 +227,8 @@ mod tests {
             let root = RandomTreeSpec::new(seed, 3, 5).root();
             let exact = negmax(&root, 5).value;
             let w = Window::new(Value::new(exact.get() - 10), Value::new(exact.get() + 10));
-            assert_eq!(pvs_window(&root, 5, w, OrderPolicy::NATURAL).value, exact);
+            let r = pvs_with(&root, 5, w, OrderPolicy::NATURAL, Hooks::new());
+            assert_eq!(r.value, exact);
         }
     }
 

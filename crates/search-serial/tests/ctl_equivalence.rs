@@ -1,15 +1,16 @@
-//! The `*_ctl` twins under an infinite deadline must be *bit-identical* to
-//! their uncontrolled originals — same root value AND same instrumentation
+//! Searches under an infinite deadline must be *bit-identical* to the
+//! same searches without a control — same root value AND same instrumentation
 //! counters — on every tree. The `()` control handle is statically inert,
 //! so the only way these could diverge is a transcription error in the
 //! ctl recursion; these properties pin that down across tree families.
 
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
+use gametree::Window;
 use proptest::prelude::*;
 use search_serial::{
-    alphabeta, alphabeta_ctl, er_search, er_search_ctl, negmax, negmax_ctl, pvs, pvs_ctl, ErConfig,
-    OrderPolicy, SearchControl,
+    alphabeta, alphabeta_with, er_search, er_search_with, negmax, negmax_with, pvs, pvs_with,
+    CtlProbe, ErConfig, Hooks, OrderPolicy, SearchControl,
 };
 
 fn arb_tree() -> impl Strategy<Value = TreeSpec> {
@@ -25,25 +26,44 @@ proptest! {
         let root = ArenaTree::root_of(&spec);
         let ctl = SearchControl::unlimited();
 
-        let r = negmax_ctl(&root, 32, &ctl);
+        let r = negmax_with(&root, 32, Hooks::new().ctl(&CtlProbe::new(&ctl)));
         let base = negmax(&root, 32);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
 
-        let r = alphabeta_ctl(&root, 32, OrderPolicy::NATURAL, &ctl);
+        let r = alphabeta_with(
+            &root,
+            32,
+            Window::FULL,
+            OrderPolicy::NATURAL,
+            Hooks::new().ctl(&CtlProbe::new(&ctl)),
+        );
         let base = alphabeta(&root, 32, OrderPolicy::NATURAL);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
 
-        let r = pvs_ctl(&root, 32, OrderPolicy::NATURAL, &ctl);
+        let r = pvs_with(
+            &root,
+            32,
+            Window::FULL,
+            OrderPolicy::NATURAL,
+            Hooks::new().ctl(&CtlProbe::new(&ctl)),
+        );
         let base = pvs(&root, 32, OrderPolicy::NATURAL);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
 
-        let r = er_search_ctl(&root, 32, ErConfig::NATURAL, &ctl);
+        let r = er_search_with(
+            &root,
+            32,
+            Window::FULL,
+            ErConfig::NATURAL,
+            0,
+            Hooks::new().ctl(&CtlProbe::new(&ctl)),
+        );
         let base = er_search(&root, 32, ErConfig::NATURAL);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
@@ -59,24 +79,43 @@ proptest! {
         let root = RandomTreeSpec::new(seed, degree, depth).root();
         let ctl = SearchControl::unlimited();
 
-        let r = negmax_ctl(&root, depth, &ctl);
+        let r = negmax_with(&root, depth, Hooks::new().ctl(&CtlProbe::new(&ctl)));
         let base = negmax(&root, depth);
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
 
         for policy in [OrderPolicy::NATURAL, OrderPolicy::ALWAYS] {
-            let r = alphabeta_ctl(&root, depth, policy, &ctl);
+            let r = alphabeta_with(
+                &root,
+                depth,
+                Window::FULL,
+                policy,
+                Hooks::new().ctl(&CtlProbe::new(&ctl)),
+            );
             let base = alphabeta(&root, depth, policy);
             prop_assert_eq!(r.value, base.value);
             prop_assert_eq!(r.stats, base.stats);
 
-            let r = pvs_ctl(&root, depth, policy, &ctl);
+            let r = pvs_with(
+                &root,
+                depth,
+                Window::FULL,
+                policy,
+                Hooks::new().ctl(&CtlProbe::new(&ctl)),
+            );
             let base = pvs(&root, depth, policy);
             prop_assert_eq!(r.value, base.value);
             prop_assert_eq!(r.stats, base.stats);
         }
 
-        let r = er_search_ctl(&root, depth, ErConfig::NATURAL, &ctl);
+        let r = er_search_with(
+            &root,
+            depth,
+            Window::FULL,
+            ErConfig::NATURAL,
+            0,
+            Hooks::new().ctl(&CtlProbe::new(&ctl)),
+        );
         let base = er_search(&root, depth, ErConfig::NATURAL);
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
@@ -88,7 +127,13 @@ proptest! {
         // the partial value must never silently masquerade as complete.
         let root = RandomTreeSpec::new(seed, 4, 6).root();
         let ctl = SearchControl::with_budget(std::time::Duration::ZERO);
-        let r = alphabeta_ctl(&root, 6, OrderPolicy::NATURAL, &ctl);
+        let r = alphabeta_with(
+            &root,
+            6,
+            Window::FULL,
+            OrderPolicy::NATURAL,
+            Hooks::new().ctl(&CtlProbe::new(&ctl)),
+        );
         prop_assert!(!r.is_complete());
         prop_assert_eq!(r.aborted, Some(search_serial::AbortReason::DeadlineHit));
     }
@@ -99,7 +144,14 @@ fn cancelled_mid_fn_is_reported() {
     let root = RandomTreeSpec::new(7, 4, 6).root();
     let ctl = SearchControl::unlimited();
     ctl.cancel();
-    let r = er_search_ctl(&root, 6, ErConfig::NATURAL, &ctl);
+    let r = er_search_with(
+        &root,
+        6,
+        Window::FULL,
+        ErConfig::NATURAL,
+        0,
+        Hooks::new().ctl(&CtlProbe::new(&ctl)),
+    );
     assert!(!r.is_complete());
     assert_eq!(r.aborted, Some(search_serial::AbortReason::Cancelled));
 }

@@ -4,8 +4,8 @@
 //! search. The inputs are the benchmark roots O1-O3 and C1 at depth 7 and
 //! three random trees, each searched table-free, with a fresh 2^16
 //! transposition table and with fresh ordering tables, through the three
-//! serial-ER entry points the parallel engine calls (`er_search`,
-//! `er_eval_refute_ord`, `er_refute_rest_ord`) and through alpha-beta.
+//! serial-ER entry points the parallel engine calls (`er_search_with`,
+//! `er_eval_refute_with`, `er_refute_rest_with`) and through alpha-beta.
 //!
 //! A change to how nodes are stored or children generated must leave every
 //! row unchanged; a change to the search itself must say which rows moved.
@@ -14,7 +14,7 @@
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, SearchStats, Window};
 use search_serial::{
-    alphabeta_window_ord, er_eval_refute_ord, er_refute_rest_ord, er_search_window_ord, ErConfig,
+    alphabeta_with, er_eval_refute_with, er_refute_rest_with, er_search_with, ErConfig, Hooks,
     OrdAccess, OrderingTables,
 };
 use tt::{TranspositionTable, TtAccess, Zobrist};
@@ -152,11 +152,11 @@ fn search_row<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
     let w = Window::FULL;
     let (label, r) = match entry {
         Entry::ErSearch => {
-            let r = er_search_window_ord(pos, depth, w, cfg, 0, tt, (), ord);
+            let r = er_search_with(pos, depth, w, cfg, 0, Hooks::new().tt(tt).ord(ord));
             ("er_search", (r.value, r.stats))
         }
         Entry::ErEvalRefute => {
-            let r = er_eval_refute_ord(pos, depth, w, cfg, 0, tt, (), ord);
+            let r = er_eval_refute_with(pos, depth, w, cfg, 0, Hooks::new().tt(tt).ord(ord));
             ("er_eval_refute", (r.value, r.stats))
         }
         Entry::ErRefuteRest => {
@@ -164,12 +164,20 @@ fn search_row<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
             // free, so the row depends only on its handles), the rest by
             // er_refute_rest.
             let kids = pos.children();
-            let first = er_search_window_ord(&kids[0], depth - 1, w, cfg, 1, (), (), ()).value;
-            let r = er_refute_rest_ord(&kids, depth - 1, 1, w, cfg, -first, tt, (), ord);
+            let first = er_search_with(&kids[0], depth - 1, w, cfg, 1, Hooks::new()).value;
+            let r = er_refute_rest_with(
+                &kids,
+                depth - 1,
+                1,
+                w,
+                cfg,
+                -first,
+                Hooks::new().tt(tt).ord(ord),
+            );
             ("er_refute_rest", (r.value, r.stats))
         }
         Entry::AlphaBeta => {
-            let r = alphabeta_window_ord(pos, depth, w, cfg.order, tt, ord);
+            let r = alphabeta_with(pos, depth, w, cfg.order, Hooks::new().tt(tt).ord(ord));
             ("alphabeta", (r.value, r.stats))
         }
     };

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
-use search_serial::{er_search_window_ord, negmax, visit_order, ErConfig, OrdAccess, OrderPolicy};
+use search_serial::{er_search_with, negmax, visit_order, ErConfig, Hooks, OrdAccess, OrderPolicy};
 
 /// An ordering table whose every read returns a fresh pseudo-random key.
 #[derive(Default)]
@@ -71,7 +71,14 @@ fn serial_er_expansion_survives_keys_that_change_on_every_read() {
     for seed in 0..4 {
         // Wide nodes: short lists sort by insertion and never notice.
         let root = RandomTreeSpec::new(seed, 48, 3).root();
-        let r = er_search_window_ord(&root, 3, Window::FULL, ErConfig::NATURAL, 0, (), (), &ord);
+        let r = er_search_with(
+            &root,
+            3,
+            Window::FULL,
+            ErConfig::NATURAL,
+            0,
+            Hooks::new().ord(&ord),
+        );
         assert!(r.is_complete());
         assert_eq!(r.value, negmax(&root, 3).value, "seed {seed}");
     }

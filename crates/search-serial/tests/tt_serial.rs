@@ -1,16 +1,16 @@
-//! Every serial `*_tt` back-end must return exactly the value of its
-//! table-free twin (and of plain negamax), whatever the table has seen
+//! Every serial search with a table must return exactly the value of the
+//! same search without one (and of plain negamax), whatever the table has seen
 //! before — including entries written by *other* algorithms, torn
 //! generations, and tiny tables that evict constantly.
 
 use gametree::ordered::OrderedTreeSpec;
 use gametree::random::splitmix64;
 use gametree::tictactoe::TicTacToe;
-use gametree::{GamePosition, Value};
+use gametree::{GamePosition, Value, Window};
 use othello::OthelloPos;
 use search_serial::{
-    alphabeta, alphabeta_tt, aspiration, aspiration_tt, er_search, er_search_tt, negmax, negmax_tt,
-    pvs, pvs_tt, ErConfig, OrderPolicy,
+    alphabeta, alphabeta_with, aspiration, er_search, er_search_with, negmax, negmax_with, pvs,
+    pvs_with, ErConfig, Hooks, OrderPolicy,
 };
 use tt::TranspositionTable;
 
@@ -21,37 +21,70 @@ fn all_tt_backends_agree_with_their_twins_on_ordered_trees() {
         let depth = 6;
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(14);
-        assert_eq!(negmax_tt(&root, depth, &table).value, exact, "negmax");
         assert_eq!(
-            alphabeta_tt(&root, depth, OrderPolicy::ALWAYS, &table).value,
+            negmax_with(&root, depth, Hooks::new().tt(&table)).value,
+            exact,
+            "negmax"
+        );
+        assert_eq!(
+            alphabeta_with(
+                &root,
+                depth,
+                Window::FULL,
+                OrderPolicy::ALWAYS,
+                Hooks::new().tt(&table)
+            )
+            .value,
             alphabeta(&root, depth, OrderPolicy::ALWAYS).value,
             "alphabeta seed {seed}"
         );
         assert_eq!(
-            pvs_tt(&root, depth, OrderPolicy::ALWAYS, &table).value,
+            pvs_with(
+                &root,
+                depth,
+                Window::FULL,
+                OrderPolicy::ALWAYS,
+                Hooks::new().tt(&table)
+            )
+            .value,
             pvs(&root, depth, OrderPolicy::ALWAYS).value,
             "pvs seed {seed}"
         );
         assert_eq!(
-            er_search_tt(&root, depth, ErConfig::NATURAL, &table).value,
+            er_search_with(
+                &root,
+                depth,
+                Window::FULL,
+                ErConfig::NATURAL,
+                0,
+                Hooks::new().tt(&table)
+            )
+            .value,
             er_search(&root, depth, ErConfig::NATURAL).value,
             "er seed {seed}"
         );
         for guess in [-500, 0, 500] {
             assert_eq!(
-                aspiration_tt(
+                aspiration(
                     &root,
                     depth,
                     Value::new(guess),
                     50,
                     OrderPolicy::ALWAYS,
-                    &table
+                    Hooks::new().tt(&table)
                 )
                 .result
                 .value,
-                aspiration(&root, depth, Value::new(guess), 50, OrderPolicy::ALWAYS)
-                    .result
-                    .value,
+                aspiration(
+                    &root,
+                    depth,
+                    Value::new(guess),
+                    50,
+                    OrderPolicy::ALWAYS,
+                    Hooks::new()
+                )
+                .result
+                .value,
                 "aspiration seed {seed} guess {guess}"
             );
         }
@@ -65,9 +98,23 @@ fn a_warm_table_replays_subtrees_from_memory() {
     // table must answer from the root entry alone.
     let p = TicTacToe::initial();
     let table = TranspositionTable::with_bits(16);
-    let cold = er_search_tt(&p, 9, ErConfig::NATURAL, &table);
+    let cold = er_search_with(
+        &p,
+        9,
+        Window::FULL,
+        ErConfig::NATURAL,
+        0,
+        Hooks::new().tt(&table),
+    );
     assert_eq!(cold.value, Value::ZERO);
-    let warm = er_search_tt(&p, 9, ErConfig::NATURAL, &table);
+    let warm = er_search_with(
+        &p,
+        9,
+        Window::FULL,
+        ErConfig::NATURAL,
+        0,
+        Hooks::new().tt(&table),
+    );
     assert_eq!(warm.value, Value::ZERO);
     assert_eq!(warm.stats.nodes(), 0, "root hit answers outright");
     let s = table.stats();
@@ -91,14 +138,29 @@ fn a_one_bucket_table_stays_correct_under_constant_eviction() {
         let table = TranspositionTable::with_bits(2);
         let exact = negmax(&root, 5).value;
         assert_eq!(
-            er_search_tt(&root, 5, ErConfig::NATURAL, &table).value,
+            er_search_with(
+                &root,
+                5,
+                Window::FULL,
+                ErConfig::NATURAL,
+                0,
+                Hooks::new().tt(&table)
+            )
+            .value,
             exact
         );
         assert_eq!(
-            alphabeta_tt(&root, 5, OrderPolicy::ALWAYS, &table).value,
+            alphabeta_with(
+                &root,
+                5,
+                Window::FULL,
+                OrderPolicy::ALWAYS,
+                Hooks::new().tt(&table)
+            )
+            .value,
             exact
         );
-        assert_eq!(negmax_tt(&root, 5, &table).value, exact);
+        assert_eq!(negmax_with(&root, 5, Hooks::new().tt(&table)).value, exact);
     }
 }
 
@@ -108,14 +170,42 @@ fn cross_algorithm_sharing_is_sound() {
     // searches through those entries and must stay exact.
     let p = TicTacToe::initial();
     let table = TranspositionTable::with_bits(16);
-    let exact = negmax_tt(&p, 9, &table).value;
+    let exact = negmax_with(&p, 9, Hooks::new().tt(&table)).value;
     assert_eq!(exact, Value::ZERO);
     assert_eq!(
-        alphabeta_tt(&p, 9, OrderPolicy::NATURAL, &table).value,
+        alphabeta_with(
+            &p,
+            9,
+            Window::FULL,
+            OrderPolicy::NATURAL,
+            Hooks::new().tt(&table)
+        )
+        .value,
         exact
     );
-    assert_eq!(pvs_tt(&p, 9, OrderPolicy::NATURAL, &table).value, exact);
-    assert_eq!(er_search_tt(&p, 9, ErConfig::NATURAL, &table).value, exact);
+    assert_eq!(
+        pvs_with(
+            &p,
+            9,
+            Window::FULL,
+            OrderPolicy::NATURAL,
+            Hooks::new().tt(&table)
+        )
+        .value,
+        exact
+    );
+    assert_eq!(
+        er_search_with(
+            &p,
+            9,
+            Window::FULL,
+            ErConfig::NATURAL,
+            0,
+            Hooks::new().tt(&table)
+        )
+        .value,
+        exact
+    );
 }
 
 #[test]
@@ -124,9 +214,17 @@ fn generation_aging_keeps_later_searches_correct() {
     let table = TranspositionTable::with_bits(8);
     let exact = negmax(&root, 6).value;
     for _ in 0..5 {
-        table.new_search();
+        table.new_generation();
         assert_eq!(
-            er_search_tt(&root, 6, ErConfig::NATURAL, &table).value,
+            er_search_with(
+                &root,
+                6,
+                Window::FULL,
+                ErConfig::NATURAL,
+                0,
+                Hooks::new().tt(&table)
+            )
+            .value,
             exact
         );
     }
@@ -159,7 +257,15 @@ fn er_with_a_fresh_table_matches_alphabeta_on_othello_midgames() {
         let root = othello_midgame(seed).expect("a live midgame");
         let table = TranspositionTable::with_bits(16);
         assert_eq!(
-            er_search_tt(&root, 7, ErConfig::OTHELLO, &table).value,
+            er_search_with(
+                &root,
+                7,
+                Window::FULL,
+                ErConfig::OTHELLO,
+                0,
+                Hooks::new().tt(&table)
+            )
+            .value,
             alphabeta(&root, 7, OrderPolicy::OTHELLO).value,
             "walk {seed}"
         );

@@ -110,13 +110,8 @@ impl EventKind {
     }
 }
 
-/// `arg` value of a [`EventKind::JobExecute`] span that covers a whole
-/// serial `*_ctl` search rather than one problem-heap task.
-pub const JOB_ARG_SEARCH: u32 = 6;
-
 /// Human label for a [`EventKind::JobExecute`] argument. Indices 0–5 are
-/// the problem-heap `Task` kinds in declaration order; [`JOB_ARG_SEARCH`]
-/// marks a whole serial search.
+/// the problem-heap `Task` kinds in declaration order.
 pub fn job_label(arg: u32) -> &'static str {
     match arg {
         0 => "leaf",
@@ -125,7 +120,6 @@ pub fn job_label(arg: u32) -> &'static str {
         3 => "next-child",
         4 => "expand-rest",
         5 => "serial",
-        JOB_ARG_SEARCH => "search",
         _ => "job",
     }
 }
@@ -168,7 +162,6 @@ mod tests {
     fn job_labels_cover_task_kinds_and_fallback() {
         assert_eq!(job_label(0), "leaf");
         assert_eq!(job_label(5), "serial");
-        assert_eq!(job_label(JOB_ARG_SEARCH), "search");
         assert_eq!(job_label(99), "job");
     }
 }

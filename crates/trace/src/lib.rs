@@ -52,7 +52,7 @@ mod tracer;
 mod tt_wrap;
 
 pub use chrome::{chrome_json, chrome_json_sessions};
-pub use event::{job_label, EventKind, TraceEvent, JOB_ARG_SEARCH, KIND_COUNT};
+pub use event::{job_label, EventKind, TraceEvent, KIND_COUNT};
 pub use report::{LogHistogram, QueueDepthStats, SearchReport, SpecSplit, WorkerReport};
 pub use ring::EventRing;
 pub use tracer::{

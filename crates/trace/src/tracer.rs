@@ -194,6 +194,10 @@ pub trait TraceAccess: Copy + Send + Sync {
     /// Hands a worker's finished ring back to the sink (called once per
     /// thread, after the worker loop).
     fn submit(self, worker: Self::Worker);
+
+    /// The tracer behind the handle, if one is attached — for drivers
+    /// that record instants on the driver row.
+    fn tracer(&self) -> Option<&Tracer>;
 }
 
 /// The "tracing off" handle: workers get `()` recorders and nothing is
@@ -207,6 +211,10 @@ impl TraceAccess for () {
 
     #[inline(always)]
     fn submit(self, _worker: ()) {}
+
+    fn tracer(&self) -> Option<&Tracer> {
+        None
+    }
 }
 
 impl TraceAccess for &Tracer {
@@ -224,6 +232,10 @@ impl TraceAccess for &Tracer {
         row.events.extend(events);
         row.dropped += dropped;
     }
+
+    fn tracer(&self) -> Option<&Tracer> {
+        Some(self)
+    }
 }
 
 /// One collected timeline row: the retained events (oldest-first) and how
@@ -237,8 +249,8 @@ pub struct RowData {
 }
 
 /// The collection sink for one (or several sequential) searches. Create
-/// one, pass `&tracer` to a `*_trace` entry point, then [`snapshot`] the
-/// collected data for aggregation or export.
+/// one, attach `&tracer` in the trace slot of a threaded search's hooks,
+/// then [`snapshot`] the collected data for aggregation or export.
 ///
 /// Sequential runs against the same `Tracer` (e.g. the iterations of an
 /// iterative-deepening driver) merge into the same per-worker rows, so the

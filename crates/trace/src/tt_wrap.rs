@@ -3,16 +3,15 @@
 //!
 //! Because every search core is already generic over `T: TtAccess<P>`,
 //! wrapping the handle wires TT telemetry through the threaded back-end
-//! *and* the serial `*_ctl` twins with zero signature changes: the wrapper
-//! rides into `execute_task` and the serial-frontier searches exactly like
-//! the bare handle. With the no-op worker (`()`) the recording calls
+//! with zero signature changes: the wrapper rides into `execute_task` and
+//! the serial-frontier searches exactly like the bare handle. With the no-op worker (`()`) the recording calls
 //! vanish and the wrapper compiles down to the inner handle.
 //!
 //! [`TtProbe`]: EventKind::TtProbe
 //! [`TtStore`]: EventKind::TtStore
 
 use gametree::Value;
-use tt::{Bound, Probe, TtAccess};
+use tt::{Bound, Probe, TranspositionTable, TtAccess};
 
 use crate::event::EventKind;
 use crate::tracer::WorkerTrace;
@@ -56,6 +55,10 @@ impl<P, T: TtAccess<P>, W: WorkerTrace> TtAccess<P> for Traced<'_, T, W> {
     #[inline]
     fn note_hint_used(self) {
         self.inner.note_hint_used();
+    }
+
+    fn table(&self) -> Option<&TranspositionTable> {
+        self.inner.table()
     }
 }
 

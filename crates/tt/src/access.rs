@@ -24,6 +24,10 @@ pub trait TtAccess<P>: Copy {
 
     /// Counts one stored best-move hint actually applied to child ordering.
     fn note_hint_used(self);
+
+    /// The table behind the handle, if one is attached — for drivers that
+    /// bump its generation or report its counters around a search.
+    fn table(&self) -> Option<&TranspositionTable>;
 }
 
 /// The "no table" implementation: every operation is a no-op.
@@ -38,6 +42,10 @@ impl<P> TtAccess<P> for () {
 
     #[inline(always)]
     fn note_hint_used(self) {}
+
+    fn table(&self) -> Option<&TranspositionTable> {
+        None
+    }
 }
 
 impl<P: Zobrist> TtAccess<P> for &TranspositionTable {
@@ -54,6 +62,10 @@ impl<P: Zobrist> TtAccess<P> for &TranspositionTable {
     #[inline]
     fn note_hint_used(self) {
         TranspositionTable::note_hint_used(self);
+    }
+
+    fn table(&self) -> Option<&TranspositionTable> {
+        Some(self)
     }
 }
 

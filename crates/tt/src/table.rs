@@ -213,10 +213,10 @@ impl TtStats {
 ///
 /// The entry array is split into up to 64 logical shards, contiguous
 /// ranges of one zero-filled bucket array (its own anonymous mapping on
-/// Linux; see [`ZeroedSlice`]): shard selection uses the *high* hash bits
+/// Linux; see `ZeroedSlice`): shard selection uses the *high* hash bits
 /// and bucket selection the *low* bits, so consecutive probes of unrelated
 /// positions land in independent ranges. Entries themselves are wait-free
-/// atomics (see [`Slot`]); the shards stripe memory, not locks — there is
+/// atomics (see `Slot`); the shards stripe memory, not locks — there is
 /// nothing to lock.
 pub struct TranspositionTable {
     /// Shard `s` is `buckets[s << bucket_bits..][..1 << bucket_bits]`.
@@ -225,7 +225,7 @@ pub struct TranspositionTable {
     shard_bits: u32,
     /// `log2(buckets per shard)`.
     bucket_bits: u32,
-    /// Current search generation (mod 64); see [`Self::new_search`].
+    /// Current search generation (mod 64); see [`Self::new_generation`].
     generation: AtomicU8,
     /// Total [`Self::new_generation`] calls since construction — the
     /// *unwrapped* generation clock. The packed entries only carry the
@@ -386,12 +386,6 @@ impl TranspositionTable {
                 slot.key.store(key ^ data ^ new_data, Relaxed);
             }
         }
-    }
-
-    /// Starts a new search: an alias of [`Self::new_generation`] kept for
-    /// the per-depth drivers, whose "searches" are depth iterations.
-    pub fn new_search(&self) {
-        self.new_generation();
     }
 
     /// The current generation (mod 64) — lets drivers such as iterative
@@ -669,7 +663,7 @@ mod tests {
     fn aged_entries_lose_replacement_priority_but_stay_probeable() {
         let t = TranspositionTable::with_bits(2);
         t.store(1, 200, Value::ZERO, Bound::Exact, None); // deep, old
-        t.new_search();
+        t.new_generation();
         assert!(
             t.probe(1).is_some(),
             "previous-generation entries still probe"
@@ -685,7 +679,7 @@ mod tests {
         // But a sufficiently shallow old entry goes first.
         let t = TranspositionTable::with_bits(2);
         t.store(1, 3, Value::ZERO, Bound::Exact, None);
-        t.new_search();
+        t.new_generation();
         for h in 2..=4u64 {
             t.store(h, 2, Value::ZERO, Bound::Exact, None);
         }
@@ -748,10 +742,10 @@ mod tests {
     fn generation_wraps_mod_64() {
         let t = TranspositionTable::with_bits(4);
         assert_eq!(t.generation(), 0);
-        t.new_search();
+        t.new_generation();
         assert_eq!(t.generation(), 1);
         for _ in 1..130 {
-            t.new_search();
+            t.new_generation();
         }
         assert_eq!(t.generation(), 130 % 64);
         assert_eq!(t.epoch(), 130);

@@ -96,7 +96,7 @@ fn generation_bumps_interleave_safely_with_traffic() {
         let t = &table;
         scope.spawn(move || {
             for _ in 0..2_000 {
-                t.new_search();
+                t.new_generation();
             }
         });
         for _ in 0..4 {

@@ -20,11 +20,11 @@
 //!   (DESIGN.md §9);
 //! * [`er_parallel`] — parallel ER (simulated and real threads) plus the
 //!   §4 baselines: MWF, tree-splitting, pv-splitting, parallel aspiration;
-//! * [`tt`] — sharded lockless concurrent transposition table shared by
-//!   every back-end's `*_tt` entry points (an extension beyond the paper;
-//!   DESIGN.md §8);
+//! * [`tt`] — sharded lockless concurrent transposition table, attached
+//!   to any back-end through the `tt` slot of its `Hooks` (an extension
+//!   beyond the paper; DESIGN.md §8);
 //! * [`trace`] — per-worker search telemetry: bounded lock-free event
-//!   rings behind zero-cost `*_trace` entry points, post-run utilization
+//!   rings behind the zero-cost `trace` slot of `Hooks`, post-run utilization
 //!   and speculation reports, and Chrome-trace timeline export
 //!   (DESIGN.md §11);
 //! * [`engine_server`] — multi-session engine server: a weighted-fair
@@ -76,9 +76,14 @@
 //! assert_eq!(ws.value, ab.value);
 //! assert_eq!(ws.counters().pos_clones_in_lock, 0);
 //!
-//! // The same run with one transposition table shared by all workers.
+//! // Every cross-cutting handle rides in one `Hooks` bundle, and each
+//! // empty slot compiles away. The same run with one transposition table
+//! // shared by all workers:
+//! let cfg = ErParallelConfig::random_tree(4);
 //! let table = TranspositionTable::with_bits(16);
-//! let ttr = run_er_threads_tt(&root, 8, 4, &ErParallelConfig::random_tree(4), &table);
+//! let hooks = Hooks::new().tt(&table);
+//! let ttr = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//!     .expect("no control, no panic: cannot abort");
 //! assert_eq!(ttr.value, ab.value);
 //! assert!(ttr.tt.expect("table stats").probes > 0);
 //!
@@ -87,19 +92,19 @@
 //! // hanging, and the anytime iterative-deepening driver always reports
 //! // the deepest fully-completed value.
 //! let ctl = SearchControl::unlimited();
-//! let ok = run_er_threads_ctl(&root, 8, 4, &ErParallelConfig::random_tree(4), exec, &ctl)
+//! let ok = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, Hooks::new().ctl(&ctl))
 //!     .expect("unlimited control cannot trip");
 //! assert_eq!(ok.value, ab.value);
 //!
-//! let id = run_er_threads_id(&root, 8, 4, &ErParallelConfig::random_tree(4), exec,
-//!                            &SearchControl::unlimited());
+//! let id = run_er_threads_id(&root, 8, 4, &cfg, exec, AspirationConfig::OFF, Hooks::new());
 //! assert_eq!(id.depth_completed, 8);
 //! assert_eq!(id.value, ab.value); // bit-identical to the fixed-depth run
 //! assert!(id.stopped.is_none());
 //!
 //! let cancelled = SearchControl::unlimited();
 //! cancelled.cancel();
-//! let err = run_er_threads_ctl(&root, 8, 4, &ErParallelConfig::random_tree(4), exec, &cancelled)
+//! let hooks = Hooks::new().ctl(&cancelled);
+//! let err = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
 //!     .expect_err("pre-cancelled control must abort");
 //! assert_eq!(err.reason, AbortReason::Cancelled);
 //! assert_eq!(err.counters.len(), 4, "every thread joined");
@@ -109,9 +114,9 @@
 //! // bit-identical — and the snapshot aggregates to a utilization report
 //! // and exports as a Chrome-trace timeline.
 //! let tracer = Tracer::new();
-//! let traced = run_er_threads_trace(&root, 8, 4, &ErParallelConfig::random_tree(4), exec,
-//!                                   &SearchControl::unlimited(), &tracer)
-//!     .expect("unlimited control cannot trip");
+//! let hooks = Hooks::new().trace(&tracer);
+//! let traced = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//!     .expect("no control, no panic: cannot abort");
 //! assert_eq!(traced.value, ab.value);
 //! let data = tracer.snapshot();
 //! assert_eq!(data.workers.len(), 4, "one timeline row per worker");
@@ -154,12 +159,9 @@ pub mod prelude {
     };
     pub use engine_server::{GameClock, TimeControl, TimeManager};
     pub use er_parallel::{
-        run_er_sim, run_er_sim_ord, run_er_threads, run_er_threads_ctl, run_er_threads_ctl_tt,
-        run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_id, run_er_threads_id_asp,
-        run_er_threads_id_asp_tt, run_er_threads_id_trace, run_er_threads_id_trace_tt,
-        run_er_threads_id_tt, run_er_threads_trace, run_er_threads_trace_tt, run_er_threads_tt,
-        run_er_threads_window_ord, AbortReason, AspirationConfig, ErIdResult, ErParallelConfig,
-        ErRunResult, ErThreadsResult, PinPolicy, SearchAborted, SearchControl, Speculation,
+        run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec, run_er_threads_id,
+        run_er_threads_with, AbortReason, AspirationConfig, ErIdResult, ErParallelConfig,
+        ErRunResult, ErThreadsResult, Hooks, PinPolicy, SearchAborted, SearchControl, Speculation,
         ThreadsConfig,
     };
     pub use gametree::ordered::OrderedTreeSpec;
@@ -173,9 +175,9 @@ pub mod prelude {
     pub use problem_heap::ThreadCounters;
     pub use problem_heap::{CostModel, SimReport};
     pub use search_serial::{
-        alphabeta, alphabeta_ctl_traced, alphabeta_nodeep, alphabeta_tt, aspiration, er_search,
-        er_search_ctl_traced, er_search_tt, negmax, negmax_tt, ErConfig, OrderPolicy,
-        OrderingTables, SearchResult, SelectivityConfig,
+        alphabeta, alphabeta_nodeep, alphabeta_with, aspiration, er_search, er_search_with, negmax,
+        negmax_with, pvs, pvs_with, CtlProbe, ErConfig, OrderPolicy, OrderingTables, SearchResult,
+        SelectivityConfig,
     };
     pub use trace::{
         chrome_json, EventKind, SearchReport, SpecSplit, TraceAccess, TraceData, Tracer,

@@ -35,7 +35,9 @@ fn all_values<P: GamePosition>(
         ),
         (
             "aspiration".to_string(),
-            aspiration(pos, depth, Value::ZERO, 100, order).result.value,
+            aspiration(pos, depth, Value::ZERO, 100, order, Hooks::new())
+                .result
+                .value,
         ),
         (
             "serial ER".to_string(),
